@@ -19,9 +19,9 @@ from .nsym import (
     immaculate_to_H,
     product_in_S_oracle,
 )
-from .pieri import left_pieri, right_pieri
+from .pieri import left_pieri, left_pieri_unit_coefficient, right_pieri
 from .schur import h_to_schur
-from .sweeps import SUITES, default_max_degree
+from .sweeps import DEFAULT_MAX_DEGREE, SUITES
 from .tableaux import (
     SkewTableau,
     count_immaculate_LR,
@@ -158,7 +158,12 @@ def cmd_coeff(args) -> int:
     elif args.method == "closed-form":
         if len(alpha) != 1:
             raise UsageError("the closed form needs a single-part alpha")
-        value = left_pieri(alpha[0], beta).coefficient(gamma)
+        s = alpha[0]
+        if not gamma or gamma[0] < s:
+            value = 0
+        else:
+            # the coefficient left_pieri stores at gamma
+            value = left_pieri_unit_coefficient(beta, (gamma[0] - s + 1,) + gamma[1:])
     else:
         from .nsym import structure_constant
 
@@ -249,8 +254,9 @@ def cmd_verify(args) -> int:
         raise UsageError(
             f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}"
         )
-    max_size = args.max_size if args.max_size is not None else default_max_degree()
-    witness = SUITES[args.suite](max_size)
+    if args.max_size < 0:
+        raise UsageError(f"--max-size must be >= 0, got {args.max_size}")
+    witness = SUITES[args.suite](args.max_size)
     if args.suite == "saturation-nsym":
         from .sweeps import COUNTEREXAMPLE
 
@@ -260,7 +266,7 @@ def cmd_verify(args) -> int:
             f"but is 1 after scaling all three by N={n}"
         )
     if witness is None:
-        print(f"suite {args.suite}: pass (max-size {max_size})")
+        print(f"suite {args.suite}: pass (max-size {args.max_size})")
         return EXIT_OK
     print(f"suite {args.suite}: FAIL: {witness}")
     return EXIT_VERIFY_FAIL
@@ -328,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_DEGREE)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -103,42 +103,24 @@ def horizontal_strip_successors(mu, n: int) -> set:
 
     out = set()
 
+    # new cells in row r lie in columns > mu_r and <= mu_{r-1}
     def extend(row, prefix, remaining):
         if row > len(mu):
-            # at most one new row, bounded above by the previous row
+            # at most one new row, bounded above by the last row of mu
             if remaining == 0:
                 out.add(tuple(prefix))
-            elif not prefix or remaining <= prefix[-1]:
+            elif not mu or remaining <= mu[-1]:
                 out.add(tuple(prefix) + (remaining,))
             return
         lo = mu[row - 1]
         hi = remaining + lo
         if row > 1:
-            hi = min(hi, prefix[-1])
+            hi = min(hi, mu[row - 2])
         for nu_r in range(lo, hi + 1):
             extend(row + 1, prefix + [nu_r], remaining - (nu_r - lo))
 
-    # new cells in row r are limited to columns > mu_r and <= mu_{r-1}
-    def ok(nu):
-        return all(
-            nu[r] <= (mu[r - 1] if r - 1 < len(mu) else 0)
-            for r in range(1, len(nu))
-        )
-
     extend(1, [], n)
-    return {nu for nu in out if ok(nu)}
-
-
-def is_horizontal_strip(mu, nu) -> bool:
-    """True iff nu/mu is a horizontal strip (interleaving condition)."""
-    if len(nu) < len(mu) or len(nu) > len(mu) + 1:
-        return False
-    for j in range(len(nu)):
-        if j < len(mu) and nu[j] < mu[j]:
-            return False
-        if j + 1 < len(nu) and nu[j + 1] > (mu[j] if j < len(mu) else 0):
-            return False
-    return True
+    return out
 
 
 def weak_compositions(n: int, length: int) -> Iterator[tuple]:
@@ -223,10 +205,6 @@ class Permutation:
         if len(other) != len(self):
             raise PreconditionError("size mismatch in composition")
         return Permutation(tuple(self(other(i)) for i in range(1, len(self) + 1)))
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(tuple(range(1, m + 1)))
 
     @classmethod
     def transposition(cls, m: int, r: int) -> "Permutation":

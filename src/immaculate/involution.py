@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .compositions import Permutation, check_composition
 from .errors import PreconditionError
-from .tableaux import SkewTableau, content, is_immaculate, sigma_of
+from .tableaux import SkewTableau, is_immaculate, sigma_of
 
 Rows = tuple
 
@@ -95,10 +95,6 @@ def theta_x(t_rows: Rows, x: CellRef) -> Rows:
     return tuple(rows)
 
 
-def _first_column(t: SkewTableau) -> tuple:
-    return t.first_column()
-
-
 def phi_r(t: SkewTableau, beta, r: int) -> SkewTableau:
     """Involution acting through row ``r`` of the straightened image.
 
@@ -121,7 +117,7 @@ def phi_r(t: SkewTableau, beta, r: int) -> SkewTableau:
         candidate = y_inverse(swapped, new_sigma, t.inner)
         if (
             is_immaculate(candidate)
-            and _first_column(candidate) == _first_column(t)
+            and candidate.first_column() == t.first_column()
             and sigma_of(candidate, beta) == new_sigma
         ):
             return candidate

@@ -130,3 +130,26 @@ class LinComb:
             data["basis"],
             [(tuple(t["index"]), t["coefficient"]) for t in data["terms"]],
         )
+
+
+def triangular_inverse(f: LinComb, expand, basis: str) -> LinComb:
+    """Rewrite ``f`` in the target ``basis`` by triangular elimination.
+
+    ``expand(index)`` is the target basis element at ``index`` written in
+    ``f``'s basis: coefficient 1 at ``index`` itself and every other index
+    strictly larger in graded-lex order.  Repeatedly extract the
+    graded-lex-smallest surviving term; its coefficient is the coefficient
+    of that target basis element.
+    """
+    remaining = dict(f.terms)
+    out = {}
+    while remaining:
+        index = min(remaining, key=grlex_key)
+        c = out[index] = remaining[index]
+        for idx, cc in expand(index).terms.items():
+            val = remaining.get(idx, 0) - c * cc
+            if val:
+                remaining[idx] = val
+            else:
+                remaining.pop(idx, None)
+    return LinComb(basis, out)

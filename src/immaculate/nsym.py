@@ -12,14 +12,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .compositions import (
-    check_composition,
-    grlex_key,
-    permutations,
-    sort_composition,
-)
+from .compositions import check_composition, permutations, sort_composition
 from .errors import PreconditionError
-from .linear import LinComb
+from .linear import LinComb, triangular_inverse
 
 
 def _require(f: LinComb, basis: str):
@@ -82,25 +77,9 @@ def immaculate_to_H(alpha) -> LinComb:
 
 
 def H_to_immaculate(f: LinComb) -> LinComb:
-    """Invert the expansion of the S basis by triangular elimination.
-
-    Repeatedly extract the graded-lex-smallest surviving H term; its
-    coefficient is the coefficient of that S basis element.
-    """
+    """Invert the expansion of the S basis by triangular elimination."""
     _require(f, "H")
-    remaining = dict(f.terms)
-    out = {}
-    while remaining:
-        gamma = min(remaining, key=grlex_key)
-        c = remaining[gamma]
-        out[gamma] = c
-        for idx, cc in immaculate_to_H(gamma).terms.items():
-            val = remaining.get(idx, 0) - c * cc
-            if val:
-                remaining[idx] = val
-            else:
-                remaining.pop(idx, None)
-    return LinComb("S", out)
+    return triangular_inverse(f, immaculate_to_H, "S")
 
 
 def immaculate_comb_to_H(f: LinComb) -> LinComb:

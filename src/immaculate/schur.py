@@ -8,19 +8,17 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .compositions import (
-    MAX_PERMUTATION_SIZE,
     check_partition,
-    grlex_key,
     horizontal_strip_successors,
     is_partition,
     permutations,
     scale,
     sort_composition,
 )
-from .errors import PreconditionError, ResourceLimitError
-from .linear import LinComb
+from .errors import PreconditionError
+from .linear import LinComb, triangular_inverse
 from .nsym import structure_constant, sym_multiply
-from .tableaux import count_immaculate_LR
+from .tableaux import count_immaculate_LR, word_is_yamanouchi
 
 
 @lru_cache(maxsize=None)
@@ -32,8 +30,6 @@ def schur_to_h(lam) -> LinComb:
     """
     lam = check_partition(lam)
     k = len(lam)
-    if k > MAX_PERMUTATION_SIZE:
-        raise ResourceLimitError(f"len(lam)={k} exceeds permutation guard")
     out = {}
     for sigma in permutations(k):
         entries = [lam[i] + sigma.images[i] - (i + 1) for i in range(k)]
@@ -49,19 +45,7 @@ def h_to_schur(f: LinComb) -> LinComb:
     over partitions in graded-lex order."""
     if f.basis != "h":
         raise PreconditionError(f"expected basis 'h', got {f.basis!r}")
-    remaining = dict(f.terms)
-    out = {}
-    while remaining:
-        lam = min(remaining, key=grlex_key)
-        c = remaining[lam]
-        out[lam] = c
-        for idx, cc in schur_to_h(lam).terms.items():
-            val = remaining.get(idx, 0) - c * cc
-            if val:
-                remaining[idx] = val
-            else:
-                remaining.pop(idx, None)
-    return LinComb("s", out)
+    return triangular_inverse(f, schur_to_h, "s")
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +85,7 @@ def lr_coefficient_tableau(mu, nu, lam) -> int:
         if r == len(lam):
             if all(c == 0 for c in remaining):
                 word = [e for row in rows for e in reversed(row)]
-                if _yamanouchi_word(word):
+                if word_is_yamanouchi(word):
                     count += 1
             return
         off = mu[r] if r < len(mu) else 0
@@ -137,15 +121,6 @@ def lr_coefficient_tableau(mu, nu, lam) -> int:
 
     fill_row(0)
     return count
-
-
-def _yamanouchi_word(word) -> bool:
-    seen = {}
-    for letter in word:
-        seen[letter] = seen.get(letter, 0) + 1
-        if letter > 1 and seen[letter] > seen.get(letter - 1, 0):
-            return False
-    return True
 
 
 def pieri_sym(mu, n: int) -> LinComb:

@@ -8,8 +8,6 @@ both drive these.
 
 from __future__ import annotations
 
-import os
-
 from .compositions import (
     Permutation,
     add_prefix,
@@ -43,14 +41,29 @@ from .tableaux import count_immaculate_LR, enumerate_T_alpha_beta, sigma_of
 DEFAULT_MAX_DEGREE = 7
 
 
-def default_max_degree() -> int:
-    value = os.environ.get("NSYM_MAX_DEGREE")
-    return int(value) if value else DEFAULT_MAX_DEGREE
-
-
 def _all_compositions_up_to(n, max_length=None):
     for size in range(n + 1):
         yield from compositions_of(size, max_length=max_length)
+
+
+def _pairs(max_total, right_factors):
+    """(alpha, beta) with |alpha| + |beta| <= max_total, alpha a composition
+    and beta from ``right_factors(|beta|)``; ordered by |alpha|, then |beta|."""
+    for a in range(max_total + 1):
+        for b in range(max_total - a + 1):
+            for alpha in compositions_of(a):
+                for beta in right_factors(b):
+                    yield alpha, beta
+
+
+def _partition_triples(max_size):
+    """(mu, nu, lam) with |mu| + |nu| = |lam| <= max_size."""
+    for n in range(max_size + 1):
+        for a in range(n + 1):
+            for mu in partitions_of(a):
+                for nu in partitions_of(n - a):
+                    for lam in partitions_of(n):
+                        yield mu, nu, lam
 
 
 def sweep_roundtrip(max_degree=8):
@@ -98,132 +111,102 @@ def sweep_left_pieri(max_beta=7, max_len=4, max_s=3):
     return None
 
 
-def _shift_vectors(max_total=2):
-    for size in range(1, max_total + 1):
-        yield from compositions_of(size)
-
-
 def sweep_translation(max_total=6, max_v=2):
     """Structure constants are invariant under admissible prefix shifts."""
-    for a in range(max_total + 1):
-        for b in range(max_total - a + 1):
-            for alpha in compositions_of(a):
-                if not alpha:
-                    continue
-                for beta in compositions_of(b):
-                    base = product_in_S_oracle(alpha, beta)
-                    for v in _shift_vectors(max_v):
-                        if len(v) > len(alpha):
-                            continue
-                        shifted = product_in_S_oracle(add_prefix(alpha, v), beta)
-                        for gamma in base.support():
-                            if len(gamma) < len(v):
-                                return f"short gamma={gamma} for v={v}"
-                            if shifted.coefficient(add_prefix(gamma, v)) != \
-                                    base.coefficient(gamma):
-                                return (
-                                    "translation failed at "
-                                    f"alpha={alpha}, beta={beta}, v={v}, gamma={gamma}"
-                                )
-                        expected = {
-                            add_prefix(g, v) for g in base.support()
-                        }
-                        if set(shifted.support()) != expected:
-                            return (
-                                "support mismatch at "
-                                f"alpha={alpha}, beta={beta}, v={v}"
-                            )
+    for alpha, beta in _pairs(max_total, compositions_of):
+        if not alpha:
+            continue
+        base = product_in_S_oracle(alpha, beta)
+        for v in _all_compositions_up_to(max_v):
+            if not v or len(v) > len(alpha):
+                continue
+            shifted = product_in_S_oracle(add_prefix(alpha, v), beta)
+            for gamma in base.support():
+                if len(gamma) < len(v):
+                    return f"short gamma={gamma} for v={v}"
+                if shifted.coefficient(add_prefix(gamma, v)) != \
+                        base.coefficient(gamma):
+                    return (
+                        "translation failed at "
+                        f"alpha={alpha}, beta={beta}, v={v}, gamma={gamma}"
+                    )
+            expected = {add_prefix(g, v) for g in base.support()}
+            if set(shifted.support()) != expected:
+                return f"support mismatch at alpha={alpha}, beta={beta}, v={v}"
     return None
 
 
 def sweep_lr_partition(max_total=7):
     """Every oracle coefficient with a partition right factor equals the
     immaculate Yamanouchi tableau count (hence is nonnegative)."""
-    for a in range(max_total + 1):
-        for n in range(max_total - a + 1):
-            for alpha in compositions_of(a):
-                for lam in partitions_of(n):
-                    expansion = product_in_S_oracle(alpha, lam)
-                    for gamma in compositions_of(a + n):
-                        got = expansion.coefficient(gamma)
-                        want = count_immaculate_LR(alpha, lam, gamma)
-                        if got != want:
-                            return (
-                                "LR count mismatch at "
-                                f"alpha={alpha}, lam={lam}, gamma={gamma}: "
-                                f"oracle {got} vs count {want}"
-                            )
+    for alpha, lam in _pairs(max_total, partitions_of):
+        expansion = product_in_S_oracle(alpha, lam)
+        for gamma in compositions_of(sum(alpha) + sum(lam)):
+            got = expansion.coefficient(gamma)
+            want = count_immaculate_LR(alpha, lam, gamma)
+            if got != want:
+                return (
+                    "LR count mismatch at "
+                    f"alpha={alpha}, lam={lam}, gamma={gamma}: "
+                    f"oracle {got} vs count {want}"
+                )
     return None
 
 
 def sweep_involution(max_total=6):
     """Involution, shape preservation, sign reversal, and the left-most
     nefarious cell characterization, over the whole family."""
-    for a in range(max_total + 1):
-        for b in range(max_total - a + 1):
-            for alpha in compositions_of(a):
-                for beta in compositions_of(b):
-                    family = enumerate_T_alpha_beta(alpha, beta)
-                    for t, sigma in family:
-                        for r in range(1, len(alpha) + len(beta) + 1):
-                            image = phi_r(t, beta, r)
-                            if phi_r(image, beta, r) != t:
-                                return (
-                                    f"phi_{r} not an involution at "
-                                    f"alpha={alpha}, beta={beta}, T={t.rows}"
-                                )
-                            if image.shape_composition() != t.shape_composition():
-                                return (
-                                    f"phi_{r} changed the shape at "
-                                    f"alpha={alpha}, beta={beta}, T={t.rows}"
-                                )
-                            if image != t:
-                                s2 = sigma_of(image, beta)
-                                if s2.sign != -sigma.sign:
-                                    return (
-                                        f"phi_{r} kept the sign at "
-                                        f"alpha={alpha}, beta={beta}, T={t.rows}"
-                                    )
-                                # acting cell must be the left-most nefarious
-                                y_rows, _ = y_map(t, beta)
-                                row_cells = [
-                                    x for x in nefarious_cells(y_rows) if x.row == r
-                                ]
-                                if not row_cells:
-                                    return (
-                                        f"phi_{r} moved without nefarious cells at "
-                                        f"alpha={alpha}, beta={beta}, T={t.rows}"
-                                    )
-                                x = row_cells[0]
-                                swapped = theta_x(y_rows, x)
-                                cand = y_inverse(
-                                    swapped,
-                                    Permutation.transposition(
-                                        len(beta), r - 1
-                                    ).compose(sigma),
-                                    alpha,
-                                )
-                                if cand != image:
-                                    return (
-                                        "acting cell is not the left-most "
-                                        f"nefarious cell at alpha={alpha}, "
-                                        f"beta={beta}, T={t.rows}, r={r}"
-                                    )
+    for alpha, beta in _pairs(max_total, compositions_of):
+        family = enumerate_T_alpha_beta(alpha, beta)
+        for t, sigma in family:
+            for r in range(1, len(alpha) + len(beta) + 1):
+                image = phi_r(t, beta, r)
+                if phi_r(image, beta, r) != t:
+                    return (
+                        f"phi_{r} not an involution at "
+                        f"alpha={alpha}, beta={beta}, T={t.rows}"
+                    )
+                if image.shape_composition() != t.shape_composition():
+                    return (
+                        f"phi_{r} changed the shape at "
+                        f"alpha={alpha}, beta={beta}, T={t.rows}"
+                    )
+                if image != t:
+                    s2 = sigma_of(image, beta)
+                    if s2.sign != -sigma.sign:
+                        return (
+                            f"phi_{r} kept the sign at "
+                            f"alpha={alpha}, beta={beta}, T={t.rows}"
+                        )
+                    # acting cell must be the left-most nefarious
+                    y_rows, _ = y_map(t, beta)
+                    row_cells = [x for x in nefarious_cells(y_rows) if x.row == r]
+                    if not row_cells:
+                        return (
+                            f"phi_{r} moved without nefarious cells at "
+                            f"alpha={alpha}, beta={beta}, T={t.rows}"
+                        )
+                    x = row_cells[0]
+                    swapped = theta_x(y_rows, x)
+                    flipped = Permutation.transposition(len(beta), r - 1).compose(sigma)
+                    cand = y_inverse(swapped, flipped, alpha)
+                    if cand != image:
+                        return (
+                            "acting cell is not the left-most "
+                            f"nefarious cell at alpha={alpha}, "
+                            f"beta={beta}, T={t.rows}, r={r}"
+                        )
     return None
 
 
 def sweep_saturation_sym(max_size=6, N=2):
     """Saturation holds for Schur structure constants."""
-    for n in range(max_size + 1):
-        for a in range(n + 1):
-            for mu in partitions_of(a):
-                for nu in partitions_of(n - a):
-                    for lam in partitions_of(n):
-                        if not saturation_check_sym(mu, nu, lam, N):
-                            return (
-                                "symmetric saturation failed at "
-                                f"mu={mu}, nu={nu}, lam={lam}, N={N}"
-                            )
+    for mu, nu, lam in _partition_triples(max_size):
+        if not saturation_check_sym(mu, nu, lam, N):
+            return (
+                "symmetric saturation failed at "
+                f"mu={mu}, nu={nu}, lam={lam}, N={N}"
+            )
     return None
 
 
@@ -259,19 +242,15 @@ def sweep_chi(max_n=6):
 
 def sweep_lr_classical(max_size=8):
     """Tableau-count and algebraic Littlewood-Richardson routes agree."""
-    for n in range(max_size + 1):
-        for a in range(n + 1):
-            for mu in partitions_of(a):
-                for nu in partitions_of(n - a):
-                    for lam in partitions_of(n):
-                        got = lr_coefficient_algebra(mu, nu, lam)
-                        want = lr_coefficient_tableau(mu, nu, lam)
-                        if got != want:
-                            return (
-                                "classical LR mismatch at "
-                                f"mu={mu}, nu={nu}, lam={lam}: "
-                                f"algebra {got} vs tableau {want}"
-                            )
+    for mu, nu, lam in _partition_triples(max_size):
+        got = lr_coefficient_algebra(mu, nu, lam)
+        want = lr_coefficient_tableau(mu, nu, lam)
+        if got != want:
+            return (
+                "classical LR mismatch at "
+                f"mu={mu}, nu={nu}, lam={lam}: "
+                f"algebra {got} vs tableau {want}"
+            )
     return None
 
 
@@ -285,4 +264,5 @@ SUITES = {
     "saturation-sym": lambda max_size: sweep_saturation_sym(max_size=max_size),
     "saturation-nsym": lambda max_size: sweep_saturation_nsym(),
     "chi": lambda max_size: sweep_chi(max_n=max_size),
+    "lr-classical": lambda max_size: sweep_lr_classical(max_size=max_size),
 }

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .compositions import (
-    MAX_PERMUTATION_SIZE,
     Permutation,
     check_composition,
     check_partition,
@@ -121,7 +120,8 @@ def is_semistandard(t: SkewTableau) -> bool:
     return True
 
 
-def _word_is_yamanouchi(word) -> bool:
+def word_is_yamanouchi(word) -> bool:
+    """Every prefix of ``word`` has at least as many j's as (j+1)'s."""
     seen = {}
     for letter in word:
         seen[letter] = seen.get(letter, 0) + 1
@@ -132,7 +132,7 @@ def _word_is_yamanouchi(word) -> bool:
 
 def is_yamanouchi(t: SkewTableau) -> bool:
     """Every reading-word prefix has at least as many j's as (j+1)'s."""
-    return _word_is_yamanouchi(reading_word(t))
+    return word_is_yamanouchi(reading_word(t))
 
 
 def enumerate_skew_immaculate(inner, content_vec, shape=None,
@@ -254,8 +254,6 @@ def enumerate_T_alpha_beta(alpha, beta):
     alpha = check_composition(alpha)
     beta = check_composition(beta)
     m = len(beta)
-    if m > MAX_PERMUTATION_SIZE:
-        raise ResourceLimitError(f"len(beta)={m} exceeds permutation guard")
     out = []
     for sigma in permutations(m):
         c = tuple(beta[j] + sigma.images[j] - (j + 1) for j in range(m))
@@ -274,8 +272,6 @@ def signed_product(alpha, beta) -> LinComb:
     alpha = check_composition(alpha)
     beta = check_composition(beta)
     m = len(beta)
-    if m > MAX_PERMUTATION_SIZE:
-        raise ResourceLimitError(f"len(beta)={m} exceeds permutation guard")
     out = {}
     for sigma in permutations(m):
         steps = [beta[j] + sigma.images[j] - (j + 1) for j in range(m)]

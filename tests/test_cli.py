@@ -73,11 +73,12 @@ def test_coeff_methods(capsys):
     assert (code, out.strip()) == (0, "0")
     code, out, _ = run(capsys, *args, "--method", "tableau")
     assert (code, out.strip()) == (0, "0")
-    code, out, _ = run(
-        capsys, "coeff", "-a", "2", "-b", "2,4", "-g", "5,3",
-        "--method", "closed-form",
-    )
-    assert (code, out.strip()) == (0, "-1")
+    for gamma, want in (("5,3", "-1"), ("1,3,4", "0"), ("2,2,2,2", "0")):
+        code, out, _ = run(
+            capsys, "coeff", "-a", "2", "-b", "2,4", "-g", gamma,
+            "--method", "closed-form",
+        )
+        assert (code, out.strip()) == (0, want)
 
 
 def test_pieri_subcommands(capsys):
@@ -169,11 +170,18 @@ def test_verify_saturation_counterexample_witness(capsys):
     assert "(3, 2, 2)" in out
 
 
-def test_verify_max_size_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("NSYM_MAX_DEGREE", "3")
-    code, out, _ = run(capsys, "verify", "--suite", "roundtrip")
-    assert code == 0
-    assert "max-size 3" in out
+def test_verify_negative_max_size_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "roundtrip", "--max-size", "-3")
+    assert code == 2
+    assert "pass" not in out
+    assert "--max-size" in err
+    code, out, _ = run(capsys, "verify", "--suite", "roundtrip", "--max-size", "0")
+    assert (code, out.strip()) == (0, "suite roundtrip: pass (max-size 0)")
+
+
+def test_verify_lr_classical_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "lr-classical", "--max-size", "5")
+    assert (code, out.strip()) == (0, "suite lr-classical: pass (max-size 5)")
 
 
 def test_output_is_deterministic(capsys):
