@@ -7,9 +7,9 @@ zeros or negative entries) are also plain tuples.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .errors import InvalidVectorError, PreconditionError, ResourceLimitError
@@ -179,14 +179,19 @@ class Permutation:
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise PreconditionError(f"not a permutation: {self.images!r}")
 
-    @property
+    @cached_property
     def sign(self) -> int:
-        inv = sum(
-            1
-            for i, j in itertools.combinations(range(len(self.images)), 2)
-            if self.images[i] > self.images[j]
-        )
-        return -1 if inv % 2 else 1
+        # (-1)^(m - number of cycles)
+        parity = len(self.images)
+        seen = [False] * (len(self.images) + 1)
+        for start in self.images:
+            if not seen[start]:
+                parity -= 1
+                i = start
+                while not seen[i]:
+                    seen[i] = True
+                    i = self.images[i - 1]
+        return -1 if parity % 2 else 1
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -216,15 +221,43 @@ class Permutation:
         return cls(tuple(images))
 
 
+def permutation_floors(alpha) -> tuple:
+    """Per-position floors max(1, i - alpha_i): the permutations sigma with
+    alpha_i + sigma_i - i >= 0 for every i are those with sigma_i >= floor_i."""
+    return tuple(max(1, i - a) for i, a in enumerate(alpha, 1))
+
+
 @lru_cache(maxsize=None)
-def permutations(m: int) -> tuple:
-    """All m! permutations of {1..m}, in lexicographic order."""
+def permutations(m: int, floors=()) -> tuple:
+    """The permutations sigma of {1..m} with sigma_i >= floors[i-1], in
+    lexicographic order; positions past the end of ``floors`` are unbounded.
+
+    Positions are filled in order of decreasing floor.  A value that clears
+    one floor clears every later, lower one, so every partial filling
+    completes and the cost follows the number of survivors, not m!.
+    """
     if m < 0:
         raise PreconditionError(f"m must be >= 0, got {m}")
     if m > MAX_PERMUTATION_SIZE:
         raise ResourceLimitError(
             f"refusing to enumerate S_{m} (guard is {MAX_PERMUTATION_SIZE})"
         )
-    return tuple(
-        Permutation(images) for images in itertools.permutations(range(1, m + 1))
-    )
+    if len(floors) > m:
+        raise PreconditionError(f"{len(floors)} floors for S_{m}")
+    floors = floors + (1,) * (m - len(floors))
+    order = sorted(range(m), key=lambda i: -floors[i])
+    images = [0] * m
+    found = []
+
+    def fill(t, free):
+        if t == m:
+            found.append(tuple(images))
+            return
+        i = order[t]
+        for j in range(bisect_left(free, floors[i]), len(free)):
+            images[i] = free[j]
+            fill(t + 1, free[:j] + free[j + 1:])
+
+    fill(0, tuple(range(1, m + 1)))
+    found.sort()
+    return tuple(Permutation(images) for images in found)

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .compositions import check_composition, permutations, sort_composition
+from .compositions import (
+    check_composition,
+    permutation_floors,
+    permutations,
+    sort_composition,
+)
 from .errors import PreconditionError
 from .linear import LinComb, triangular_inverse
 
@@ -67,10 +72,8 @@ def immaculate_to_H(alpha) -> LinComb:
     alpha = check_composition(alpha)
     k = len(alpha)
     out = {}
-    for sigma in permutations(k):
+    for sigma in permutations(k, permutation_floors(alpha)):
         entries = [alpha[i] + sigma.images[i] - (i + 1) for i in range(k)]
-        if any(e < 0 for e in entries):
-            continue
         idx = tuple(e for e in entries if e > 0)
         out[idx] = out.get(idx, 0) + sigma.sign
     return LinComb("H", out)

@@ -11,6 +11,7 @@ from .compositions import (
     check_partition,
     horizontal_strip_successors,
     is_partition,
+    permutation_floors,
     permutations,
     scale,
     sort_composition,
@@ -31,10 +32,8 @@ def schur_to_h(lam) -> LinComb:
     lam = check_partition(lam)
     k = len(lam)
     out = {}
-    for sigma in permutations(k):
+    for sigma in permutations(k, permutation_floors(lam)):
         entries = [lam[i] + sigma.images[i] - (i + 1) for i in range(k)]
-        if any(e < 0 for e in entries):
-            continue
         idx = sort_composition(e for e in entries if e > 0)
         out[idx] = out.get(idx, 0) + sigma.sign
     return LinComb("h", out)

@@ -16,6 +16,7 @@ from .compositions import (
     Permutation,
     check_composition,
     check_partition,
+    permutation_floors,
     permutations,
     right_pieri_successors,
 )
@@ -255,10 +256,8 @@ def enumerate_T_alpha_beta(alpha, beta):
     beta = check_composition(beta)
     m = len(beta)
     out = []
-    for sigma in permutations(m):
+    for sigma in permutations(m, permutation_floors(beta)):
         c = tuple(beta[j] + sigma.images[j] - (j + 1) for j in range(m))
-        if any(e < 0 for e in c):
-            continue
         for t in enumerate_skew_immaculate(alpha, c):
             out.append((t, sigma))
     return out
@@ -273,10 +272,8 @@ def signed_product(alpha, beta) -> LinComb:
     beta = check_composition(beta)
     m = len(beta)
     out = {}
-    for sigma in permutations(m):
+    for sigma in permutations(m, permutation_floors(beta)):
         steps = [beta[j] + sigma.images[j] - (j + 1) for j in range(m)]
-        if any(s < 0 for s in steps):
-            continue
         frontier = {alpha: 1}
         for s in steps:
             if s == 0:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from immaculate import cli
 from immaculate.cli import main, parse_basis_index, parse_composition
 
 
@@ -168,6 +169,23 @@ def test_verify_saturation_counterexample_witness(capsys):
     assert code == 0
     assert "witness" in out
     assert "(3, 2, 2)" in out
+
+
+def test_verify_saturation_nsym_exact_output(capsys):
+    # one fixed instance: --max-size is accepted and not echoed
+    code, out, _ = run(capsys, "verify", "--suite", "saturation-nsym", "--max-size", "99")
+    assert code == 0
+    assert out.splitlines() == [
+        "witness: C for alpha=(1, 1), beta=(3, 2, 2), gamma=(3, 3, 1, 1, 1) is 0 "
+        "but is 1 after scaling all three by N=2",
+        "suite saturation-nsym: pass (fixed instance)",
+    ]
+
+
+def test_verify_failure_prints_no_witness(capsys, monkeypatch):
+    monkeypatch.setitem(cli.SUITES, "saturation-nsym", lambda max_size: "forced")
+    code, out, _ = run(capsys, "verify", "--suite", "saturation-nsym")
+    assert (code, out) == (1, "suite saturation-nsym: FAIL: forced\n")
 
 
 def test_verify_negative_max_size_is_usage_error(capsys):

@@ -11,6 +11,7 @@ from immaculate.compositions import (
     horizontal_strip_successors,
     is_right_pieri_successor,
     partitions_of,
+    permutation_floors,
     permutations,
     right_pieri_successors,
     scale,
@@ -143,8 +144,46 @@ def test_permutations_small():
 
 
 def test_permutations_guard():
-    with pytest.raises(ResourceLimitError):
-        permutations(11)
+    # the S_m size guard holds whatever the floors cut away
+    for floors in ((), (1,) * 11, (11,) * 11, (12,), (11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1)):
+        with pytest.raises(ResourceLimitError):
+            permutations(11, floors)
+
+
+def inversion_sign(images):
+    inv = sum(1 for i, j in itertools.combinations(range(len(images)), 2)
+              if images[i] > images[j])
+    return -1 if inv % 2 else 1
+
+
+def test_permutations_under_floors_match_filter():
+    # every floors vector up to length m with entries 0..m+1 (an entry <= 1
+    # bounds nothing, one past m leaves no survivor), short ones included
+    for m in range(6):
+        full = list(itertools.permutations(range(1, m + 1)))
+        for length in range(m + 1):
+            for floors in itertools.product(range(m + 2), repeat=length):
+                want = [p for p in full if all(map(int.__ge__, p, floors))]
+                assert [p.images for p in permutations(m, floors)] == want, floors
+    assert permutations(3, (-2, 3)) == permutations(3, (0, 3)) == permutations(3, (1, 3))
+    permutations.cache_clear()
+
+
+def test_permutations_rejects_too_many_floors():
+    with pytest.raises(PreconditionError):
+        permutations(2, (1, 1, 1))
+
+
+def test_sign_is_inversion_parity():
+    for m in range(7):
+        for p in permutations(m):
+            assert p.sign == inversion_sign(p.images)
+
+
+def test_permutation_floors():
+    assert permutation_floors(()) == ()
+    assert permutation_floors((2, 1, 1, 3)) == (1, 1, 2, 1)
+    assert permutation_floors((1, 1, 1, 1)) == (1, 1, 2, 3)
 
 
 def test_sign_multiplicative_exhaustive():

@@ -13,3 +13,15 @@ def test_benchmark_selfcheck_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_verify_warm_smoke_run():
+    # One traced batch: a crash under the tracer or a wrong answer fails
+    # here, which the self-check alone does not catch.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "verify-warm",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "wrong answers 0" in proc.stdout, proc.stdout + proc.stderr
