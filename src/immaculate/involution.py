@@ -81,6 +81,11 @@ def theta_x(t_rows: Rows, x: CellRef) -> Rows:
     """
     if x not in nefarious_cells(t_rows):
         raise PreconditionError(f"{x} is not a nefarious cell")
+    return _swap_tails(t_rows, x)
+
+
+def _swap_tails(t_rows: Rows, x: CellRef) -> Rows:
+    """``theta_x`` for a cell already known to be nefarious."""
     r, c = x.row, x.column
     up, down = t_rows[r - 2], t_rows[r - 1]
     if len(up) >= c:
@@ -106,15 +111,21 @@ def phi_r(t: SkewTableau, beta, r: int) -> SkewTableau:
         raise PreconditionError(f"row index must be >= 1, got {r}")
     beta = check_composition(beta)
     y_rows, sigma = y_map(t, beta)
-    if r < 2 or r > len(y_rows):
+    return phi_on_image(t, beta, y_rows, sigma, nefarious_cells(y_rows), r)
+
+
+def phi_on_image(t: SkewTableau, beta, y_rows: Rows, sigma: Permutation,
+                 cells, r: int) -> SkewTableau:
+    """``phi_r`` for a tableau whose straightening is already known:
+    ``(y_rows, sigma) = y_map(t, beta)`` and ``cells`` are the nefarious
+    cells of ``y_rows``.  Nothing is validated."""
+    # nefarious cells lie in rows 2..len(y_rows) only
+    row_cells = [x for x in cells if x.row == r]
+    if not row_cells:
         return t
-    m = len(beta)
-    for x in nefarious_cells(y_rows):
-        if x.row != r:
-            continue
-        swapped = theta_x(y_rows, x)
-        new_sigma = Permutation.transposition(m, r - 1).compose(sigma)
-        candidate = y_inverse(swapped, new_sigma, t.inner)
+    new_sigma = Permutation.transposition(len(beta), r - 1).compose(sigma)
+    for x in row_cells:
+        candidate = y_inverse(_swap_tails(y_rows, x), new_sigma, t.inner)
         if (
             is_immaculate(candidate)
             and candidate.first_column() == t.first_column()

@@ -15,7 +15,7 @@ from .compositions import (
     partitions_of,
     scale,
 )
-from .involution import nefarious_cells, phi_r, theta_x, y_inverse, y_map
+from .involution import nefarious_cells, phi_on_image, theta_x, y_inverse, y_map
 from .linear import LinComb
 from .nsym import (
     H_to_immaculate,
@@ -36,9 +36,12 @@ from .schur import (
     saturation_check_sym,
     schur_to_h,
 )
-from .tableaux import count_immaculate_LR, enumerate_T_alpha_beta, sigma_of
+from .tableaux import count_immaculate_LR, enumerate_T_alpha_beta
 
 DEFAULT_MAX_DEGREE = 7
+
+# Witness of a sweep whose range held nothing to compare.
+NOTHING_COMPARED = "no instances compared"
 
 
 def _all_compositions_up_to(n, max_length=None):
@@ -113,6 +116,7 @@ def sweep_left_pieri(max_beta=7, max_len=4, max_s=3):
 
 def sweep_translation(max_total=6, max_v=2):
     """Structure constants are invariant under admissible prefix shifts."""
+    compared = 0
     for alpha, beta in _pairs(max_total, compositions_of):
         if not alpha:
             continue
@@ -120,6 +124,7 @@ def sweep_translation(max_total=6, max_v=2):
         for v in _all_compositions_up_to(max_v):
             if not v or len(v) > len(alpha):
                 continue
+            compared += 1
             shifted = product_in_S_oracle(add_prefix(alpha, v), beta)
             for gamma in base.support():
                 if len(gamma) < len(v):
@@ -133,7 +138,7 @@ def sweep_translation(max_total=6, max_v=2):
             expected = {add_prefix(g, v) for g in base.support()}
             if set(shifted.support()) != expected:
                 return f"support mismatch at alpha={alpha}, beta={beta}, v={v}"
-    return None
+    return None if compared else NOTHING_COMPARED
 
 
 def sweep_lr_partition(max_total=7):
@@ -153,50 +158,65 @@ def sweep_lr_partition(max_total=7):
     return None
 
 
+def _straighten(t, beta, memo):
+    """``y_map(t, beta)``, memoised, and the nefarious cells of the image."""
+    if t not in memo:
+        memo[t] = y_map(t, beta)
+    y_rows, sigma = memo[t]
+    return y_rows, sigma, nefarious_cells(y_rows)
+
+
 def sweep_involution(max_total=6):
     """Involution, shape preservation, sign reversal, and the left-most
-    nefarious cell characterization, over the whole family."""
+    nefarious cell characterization, over the whole family.
+
+    Each family member is straightened once; ``phi_r`` runs on the memoised
+    image, and a fixed point needs no second application."""
+    compared = 0
     for alpha, beta in _pairs(max_total, compositions_of):
-        family = enumerate_T_alpha_beta(alpha, beta)
-        for t, sigma in family:
+        memo = {}  # one family at a time
+        for t, _ in enumerate_T_alpha_beta(alpha, beta):
+            y_rows, sigma, cells = _straighten(t, beta, memo)
+            shape = t.shape_composition()
             for r in range(1, len(alpha) + len(beta) + 1):
-                image = phi_r(t, beta, r)
-                if phi_r(image, beta, r) != t:
+                compared += 1
+                image = phi_on_image(t, beta, y_rows, sigma, cells, r)
+                if image == t:
+                    continue
+                image_rows, image_sigma, image_cells = _straighten(image, beta, memo)
+                if phi_on_image(image, beta, image_rows, image_sigma,
+                                image_cells, r) != t:
                     return (
                         f"phi_{r} not an involution at "
                         f"alpha={alpha}, beta={beta}, T={t.rows}"
                     )
-                if image.shape_composition() != t.shape_composition():
+                if image.shape_composition() != shape:
                     return (
                         f"phi_{r} changed the shape at "
                         f"alpha={alpha}, beta={beta}, T={t.rows}"
                     )
-                if image != t:
-                    s2 = sigma_of(image, beta)
-                    if s2.sign != -sigma.sign:
-                        return (
-                            f"phi_{r} kept the sign at "
-                            f"alpha={alpha}, beta={beta}, T={t.rows}"
-                        )
-                    # acting cell must be the left-most nefarious
-                    y_rows, _ = y_map(t, beta)
-                    row_cells = [x for x in nefarious_cells(y_rows) if x.row == r]
-                    if not row_cells:
-                        return (
-                            f"phi_{r} moved without nefarious cells at "
-                            f"alpha={alpha}, beta={beta}, T={t.rows}"
-                        )
-                    x = row_cells[0]
-                    swapped = theta_x(y_rows, x)
-                    flipped = Permutation.transposition(len(beta), r - 1).compose(sigma)
-                    cand = y_inverse(swapped, flipped, alpha)
-                    if cand != image:
-                        return (
-                            "acting cell is not the left-most "
-                            f"nefarious cell at alpha={alpha}, "
-                            f"beta={beta}, T={t.rows}, r={r}"
-                        )
-    return None
+                if image_sigma.sign != -sigma.sign:
+                    return (
+                        f"phi_{r} kept the sign at "
+                        f"alpha={alpha}, beta={beta}, T={t.rows}"
+                    )
+                # acting cell must be the left-most nefarious
+                row_cells = [x for x in cells if x.row == r]
+                if not row_cells:
+                    return (
+                        f"phi_{r} moved without nefarious cells at "
+                        f"alpha={alpha}, beta={beta}, T={t.rows}"
+                    )
+                swapped = theta_x(y_rows, row_cells[0])
+                flipped = Permutation.transposition(len(beta), r - 1).compose(sigma)
+                cand = y_inverse(swapped, flipped, alpha)
+                if cand != image:
+                    return (
+                        "acting cell is not the left-most "
+                        f"nefarious cell at alpha={alpha}, "
+                        f"beta={beta}, T={t.rows}, r={r}"
+                    )
+    return None if compared else NOTHING_COMPARED
 
 
 def sweep_saturation_sym(max_size=6, N=2):

@@ -144,6 +144,12 @@ def enumerate_skew_immaculate(inner, content_vec, shape=None,
     so rows are chosen as sub-multisets of the remaining content, constrained
     by first-column strictness (and by ``shape`` when given).  Emission order
     is deterministic: lexicographic in the per-row count vectors.
+
+    A row below the inner shape starts column 1, and every later row starts
+    with a strictly larger letter, so that row starts with the smallest
+    remaining letter and takes all of its copies.  With ``shape`` given, a
+    row's count vector is cut off as soon as the letters still allowed
+    cannot fill it.  Every visited node counts against ``search_limit``.
     """
     inner = check_composition(inner)
     content_vec = tuple(content_vec)
@@ -162,34 +168,48 @@ def enumerate_skew_immaculate(inner, content_vec, shape=None,
     budget = [search_limit]
     results = []
 
-    def row_choices(remaining, size=None):
-        """Count vectors (k_1..k_m) with k_j <= remaining_j, optionally of
-        fixed total size; yields (counts, row)."""
-        def rec(j, counts, left):
-            if budget[0] <= 0:
-                raise ResourceLimitError("tableau enumeration budget exhausted")
-            budget[0] -= 1
-            if j == m:
-                if size is None or left == 0:
-                    row = tuple(
-                        val
-                        for val in range(1, m + 1)
-                        for _ in range(counts[val - 1])
-                    )
-                    yield tuple(counts), row
-                return
-            top = remaining[j] if size is None else min(remaining[j], left)
-            for k in range(top + 1):
-                counts[j] = k
-                yield from rec(j + 1, counts, left - k if size is not None else left)
-                counts[j] = 0
-
-        yield from rec(0, [0] * m, size)
-
-    def extend(r, remaining, rows, prev_first):
+    def visit():
         if budget[0] <= 0:
             raise ResourceLimitError("tableau enumeration budget exhausted")
         budget[0] -= 1
+
+    def row_choices(remaining, lead, size):
+        """Count vectors (k_1..k_m) with k_j <= remaining_j, optionally of
+        fixed total ``size``; yields (counts, row).  With ``lead`` given, the
+        row takes every copy of letter ``lead + 1`` and no smaller letter."""
+        counts = [0] * m
+        start = 0
+        if lead is not None:
+            counts[lead] = remaining[lead]
+            start = lead + 1
+        # tail[j]: letters still allowed at positions j..m-1
+        tail = [0] * (m + 1)
+        for j in range(m - 1, start - 1, -1):
+            tail[j] = tail[j + 1] + remaining[j]
+
+        def rec(j, left):
+            visit()
+            if j == m:
+                row = tuple(
+                    val for val in range(1, m + 1) for _ in range(counts[val - 1])
+                )
+                yield tuple(counts), row
+                return
+            if size is None:
+                low, top = 0, remaining[j]
+            else:
+                low, top = max(0, left - tail[j + 1]), min(remaining[j], left)
+            for k in range(low, top + 1):
+                counts[j] = k
+                yield from rec(j + 1, left - k)
+            counts[j] = 0
+
+        left = tail[start] if size is None else size - sum(counts)
+        if 0 <= left <= tail[start]:
+            yield from rec(start, left)
+
+    def extend(r, remaining, rows):
+        visit()
         if shape is not None:
             if r > len(shape):
                 if all(c == 0 for c in remaining):
@@ -201,22 +221,15 @@ def enumerate_skew_immaculate(inner, content_vec, shape=None,
                 results.append(SkewTableau(inner, tuple(rows)))
                 return
             size = None
-        starts_col1 = r > len(inner)
-        for counts, row in row_choices(remaining, size):
-            if starts_col1:
-                if not row and shape is None:
-                    continue
-                if row and row[0] <= prev_first:
-                    continue
+        # a row starting column 1 starts with the smallest remaining letter
+        lead = None
+        if r > len(inner):
+            lead = next(j for j, c in enumerate(remaining) if c)
+        for counts, row in row_choices(remaining, lead, size):
             new_remaining = tuple(a - b for a, b in zip(remaining, counts))
-            extend(
-                r + 1,
-                new_remaining,
-                rows + [row],
-                row[0] if (starts_col1 and row) else prev_first,
-            )
+            extend(r + 1, new_remaining, rows + [row])
 
-    extend(1, content_vec, [], 0)
+    extend(1, content_vec, [])
     return results
 
 

@@ -197,6 +197,15 @@ def test_verify_negative_max_size_is_usage_error(capsys):
     assert (code, out.strip()) == (0, "suite roundtrip: pass (max-size 0)")
 
 
+@pytest.mark.parametrize("suite", ["involution", "translation"])
+def test_verify_empty_range_fails(capsys, suite):
+    # at size 0 neither sweep has an instance to compare
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-size", "0")
+    assert (code, out) == (1, f"suite {suite}: FAIL: no instances compared\n")
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--max-size", "1")
+    assert (code, out.strip()) == (0, f"suite {suite}: pass (max-size 1)")
+
+
 def test_verify_lr_classical_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "lr-classical", "--max-size", "5")
     assert (code, out.strip()) == (0, "suite lr-classical: pass (max-size 5)")

@@ -5,6 +5,7 @@ from immaculate.errors import PreconditionError
 from immaculate.involution import (
     CellRef,
     nefarious_cells,
+    phi_on_image,
     phi_r,
     theta_x,
     y_inverse,
@@ -98,3 +99,23 @@ def test_phi_is_involution_and_reverses_sign():
 def test_phi_row_one_fixes_everything():
     for t, _ in enumerate_T_alpha_beta((1,), (2, 1)):
         assert phi_r(t, (2, 1), 1) == t
+
+
+def test_phi_r_is_the_kernel_on_the_straightened_image():
+    for a in range(5):
+        for b in range(5 - a):
+            for alpha in compositions_of(a):
+                for beta in compositions_of(b):
+                    for t, _ in enumerate_T_alpha_beta(alpha, beta):
+                        rows, sigma = y_map(t, beta)
+                        cells = nefarious_cells(rows)
+                        for r in range(1, len(alpha) + len(beta) + 1):
+                            assert phi_r(t, beta, r) == phi_on_image(
+                                t, beta, rows, sigma, cells, r)
+
+
+def test_phi_r_rejects_foreign_tableau():
+    with pytest.raises(PreconditionError):
+        phi_r(T_WORKED, (2, 2, 1), 2)
+    with pytest.raises(PreconditionError):
+        phi_r(T_WORKED, BETA, 0)
