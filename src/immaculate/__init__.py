@@ -31,7 +31,6 @@ from .nsym import (
     sym_multiply,
 )
 from .pieri import (
-    DeltaVector,
     left_pieri,
     left_pieri_unit_coefficient,
     right_pieri,

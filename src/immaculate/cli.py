@@ -12,14 +12,14 @@ import sys
 
 from .compositions import check_composition, is_partition
 from .errors import PreconditionError, ResourceLimitError
-from .linear import LinComb
+from .linear import LinComb, linear_sum
 from .nsym import (
     H_to_immaculate,
     forgetful_chi,
     immaculate_to_H,
     product_in_S_oracle,
 )
-from .pieri import left_pieri, left_pieri_unit_coefficient, right_pieri
+from .pieri import left_pieri, left_pieri_coefficient, right_pieri
 from .schur import h_to_schur
 from .sweeps import COUNTEREXAMPLE, DEFAULT_MAX_DEGREE, SUITES
 from .tableaux import (
@@ -115,10 +115,9 @@ def cmd_product(args) -> int:
             result = left_pieri(left[0], right)
     else:
         fl, fr = _as_S(lbasis, left), _as_S(rbasis, right)
-        result = LinComb("S")
-        for a, ca in fl.items():
-            for b, cb in fr.items():
-                result = result + product_in_S_oracle(a, b).scaled(ca * cb)
+        pairs = ((ca * cb, product_in_S_oracle(a, b))
+                 for a, ca in fl.items() for b, cb in fr.items())
+        result = linear_sum("S", pairs)
     emit_combination(result, args.format)
     return EXIT_OK
 
@@ -158,12 +157,7 @@ def cmd_coeff(args) -> int:
     elif args.method == "closed-form":
         if len(alpha) != 1:
             raise UsageError("the closed form needs a single-part alpha")
-        s = alpha[0]
-        if not gamma or gamma[0] < s:
-            value = 0
-        else:
-            # the coefficient left_pieri stores at gamma
-            value = left_pieri_unit_coefficient(beta, (gamma[0] - s + 1,) + gamma[1:])
+        value = left_pieri_coefficient(alpha[0], beta, gamma)
     else:
         from .nsym import structure_constant
 
@@ -217,18 +211,17 @@ def cmd_tableaux(args) -> int:
     inner = parse_composition(args.inner)
     if (args.content is None) == (args.beta is None):
         raise UsageError("exactly one of --content and --beta is required")
+    shape = parse_composition(args.shape) if args.shape else None
     if args.beta is not None:
         beta = parse_composition(args.beta)
-        pairs = enumerate_T_alpha_beta(inner, beta)
+        pairs = enumerate_T_alpha_beta(inner, beta, shape=shape)
     else:
         content_vec = parse_vector(args.content)
-        pairs = [(t, None) for t in enumerate_skew_immaculate(inner, content_vec)]
+        found = enumerate_skew_immaculate(inner, content_vec, shape=shape)
+        pairs = [(t, None) for t in found]
 
-    shape = parse_composition(args.shape) if args.shape else None
     selected = []
     for t, sigma in pairs:
-        if shape is not None and t.shape_composition() != shape:
-            continue
         if args.yamanouchi and not is_yamanouchi(t):
             continue
         if args.semistandard and not is_semistandard(t):

@@ -203,22 +203,29 @@ class Permutation:
         inv = [0] * len(self.images)
         for i, img in enumerate(self.images, 1):
             inv[img - 1] = i
-        return Permutation(tuple(inv))
+        return _permutation(tuple(inv))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(i) = self(other(i))."""
         if len(other) != len(self):
             raise PreconditionError("size mismatch in composition")
-        return Permutation(tuple(self(other(i)) for i in range(1, len(self) + 1)))
+        return _permutation(tuple(self.images[i - 1] for i in other.images))
 
-    @classmethod
-    def transposition(cls, m: int, r: int) -> "Permutation":
+    @staticmethod
+    def transposition(m: int, r: int) -> "Permutation":
         """Swap r and r+1 inside S_m."""
         if not 1 <= r < m:
             raise PreconditionError(f"transposition ({r},{r + 1}) not in S_{m}")
         images = list(range(1, m + 1))
         images[r - 1], images[r] = images[r], images[r - 1]
-        return cls(tuple(images))
+        return _permutation(tuple(images))
+
+
+def _permutation(images: tuple) -> Permutation:
+    """A permutation whose images the package built itself: no check."""
+    p = object.__new__(Permutation)
+    p.__dict__["images"] = images
+    return p
 
 
 def permutation_floors(alpha) -> tuple:
@@ -260,4 +267,4 @@ def permutations(m: int, floors=()) -> tuple:
 
     fill(0, tuple(range(1, m + 1)))
     found.sort()
-    return tuple(Permutation(images) for images in found)
+    return tuple(_permutation(images) for images in found)

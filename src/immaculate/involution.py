@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .compositions import Permutation, check_composition
 from .errors import PreconditionError
-from .tableaux import SkewTableau, is_immaculate, sigma_of
+from .tableaux import SkewTableau, _tableau, is_immaculate, sigma_of
 
 Rows = tuple
 
@@ -56,7 +56,7 @@ def y_inverse(t_rows: Rows, sigma: Permutation, alpha) -> SkewTableau:
             if r < 1:
                 raise PreconditionError(f"bad row index {r} in straightened rows")
             out[r - 1].append(value)
-    return SkewTableau(alpha, tuple(tuple(sorted(row)) for row in out))
+    return _tableau(alpha, tuple(tuple(sorted(row)) for row in out))
 
 
 def nefarious_cells(t_rows: Rows):

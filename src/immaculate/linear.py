@@ -22,23 +22,14 @@ class LinComb:
     def __init__(self, basis: str, terms=None):
         if basis not in BASES:
             raise PreconditionError(f"unknown basis {basis!r}")
+        check = check_partition if basis in _PARTITION_BASES else check_composition
+        summed = {}
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        for index, coeff in items:
+            index = check(index)
+            summed[index] = summed.get(index, 0) + coeff
         self.basis = basis
-        clean = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for index, coeff in items:
-                index = self._check_index(basis, index)
-                if coeff:
-                    clean[index] = clean.get(index, 0) + coeff
-                    if not clean[index]:
-                        del clean[index]
-        self.terms = clean
-
-    @staticmethod
-    def _check_index(basis, index):
-        if basis in _PARTITION_BASES:
-            return check_partition(index)
-        return check_composition(index)
+        self.terms = {idx: c for idx, c in summed.items() if c}
 
     @classmethod
     def monomial(cls, basis, index, coeff=1):
@@ -66,19 +57,16 @@ class LinComb:
 
     def __add__(self, other):
         self._require_same_basis(other)
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            out[idx] = out.get(idx, 0) + c
-        return LinComb(self.basis, out)
+        return linear_sum(self.basis, ((1, self), (1, other)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LinComb(self.basis, {idx: -c for idx, c in self.terms.items()})
+        return self.scaled(-1)
 
     def scaled(self, scalar: int):
-        return LinComb(self.basis, {idx: scalar * c for idx, c in self.terms.items()})
+        return _built(self.basis, {idx: scalar * c for idx, c in self.terms.items()})
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, int):
@@ -132,6 +120,25 @@ class LinComb:
         )
 
 
+def _built(basis: str, terms: dict) -> LinComb:
+    """A combination whose indices the package built itself: no index
+    checks, only zero coefficients are dropped."""
+    f = LinComb.__new__(LinComb)
+    f.basis = basis
+    f.terms = {idx: c for idx, c in terms.items() if c}
+    return f
+
+
+def linear_sum(basis: str, pairs) -> LinComb:
+    """The sum of ``c * f`` over the ``(c, f)`` pairs, accumulated in one
+    dict; every ``f`` is in ``basis``."""
+    out = {}
+    for c, f in pairs:
+        for idx, cc in f.terms.items():
+            out[idx] = out.get(idx, 0) + c * cc
+    return _built(basis, out)
+
+
 def triangular_inverse(f: LinComb, expand, basis: str) -> LinComb:
     """Rewrite ``f`` in the target ``basis`` by triangular elimination.
 
@@ -152,4 +159,4 @@ def triangular_inverse(f: LinComb, expand, basis: str) -> LinComb:
                 remaining[idx] = val
             else:
                 remaining.pop(idx, None)
-    return LinComb(basis, out)
+    return _built(basis, out)

@@ -19,7 +19,7 @@ from .compositions import (
     sort_composition,
 )
 from .errors import PreconditionError
-from .linear import LinComb, triangular_inverse
+from .linear import LinComb, _built, linear_sum, triangular_inverse
 
 
 def _require(f: LinComb, basis: str):
@@ -36,7 +36,7 @@ def h_multiply(f: LinComb, g: LinComb) -> LinComb:
         for b, cb in g.terms.items():
             idx = a + b
             out[idx] = out.get(idx, 0) + ca * cb
-    return LinComb("H", out)
+    return _built("H", out)
 
 
 def sym_multiply(f: LinComb, g: LinComb) -> LinComb:
@@ -48,7 +48,7 @@ def sym_multiply(f: LinComb, g: LinComb) -> LinComb:
         for b, cb in g.terms.items():
             idx = sort_composition(a + b)
             out[idx] = out.get(idx, 0) + ca * cb
-    return LinComb("h", out)
+    return _built("h", out)
 
 
 def forgetful_chi(f: LinComb) -> LinComb:
@@ -58,7 +58,7 @@ def forgetful_chi(f: LinComb) -> LinComb:
     for a, c in f.terms.items():
         idx = sort_composition(a)
         out[idx] = out.get(idx, 0) + c
-    return LinComb("h", out)
+    return _built("h", out)
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +76,7 @@ def immaculate_to_H(alpha) -> LinComb:
         entries = [alpha[i] + sigma.images[i] - (i + 1) for i in range(k)]
         idx = tuple(e for e in entries if e > 0)
         out[idx] = out.get(idx, 0) + sigma.sign
-    return LinComb("H", out)
+    return _built("H", out)
 
 
 def H_to_immaculate(f: LinComb) -> LinComb:
@@ -88,10 +88,7 @@ def H_to_immaculate(f: LinComb) -> LinComb:
 def immaculate_comb_to_H(f: LinComb) -> LinComb:
     """Linear extension of the S -> H expansion."""
     _require(f, "S")
-    out = LinComb("H")
-    for alpha, c in f.terms.items():
-        out = out + immaculate_to_H(alpha).scaled(c)
-    return out
+    return linear_sum("H", ((c, immaculate_to_H(a)) for a, c in f.terms.items()))
 
 
 @lru_cache(maxsize=None)

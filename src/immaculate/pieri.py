@@ -8,21 +8,19 @@ and a sign that counts negative entries of beta minus the tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .compositions import (
     check_composition,
     compositions_of,
     right_pieri_successors,
 )
 from .errors import PreconditionError
-from .linear import LinComb
+from .linear import LinComb, _built
 
 
 def right_pieri(alpha, s: int) -> LinComb:
     """S_alpha * H_s: multiplicity-free sum over the right cover relation."""
     alpha = check_composition(alpha)
-    return LinComb("S", {beta: 1 for beta in right_pieri_successors(alpha, s)})
+    return _built("S", {beta: 1 for beta in right_pieri_successors(alpha, s)})
 
 
 def translation_reduce(alpha, beta, gamma, v):
@@ -47,45 +45,30 @@ def sgn(d) -> int:
     return -1 if sum(1 for x in d if x < 0) % 2 else 1
 
 
-@dataclass(frozen=True)
-class DeltaVector:
-    """Candidate row-length data: filled first-row length plus one, then the
-    lengths of the rows starting with 1..n (zeros allowed)."""
-
-    first: int
-    tail: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "tail", tuple(self.tail))
-        if self.first < 1:
-            raise PreconditionError(f"first must be >= 1, got {self.first}")
-        if any(d < 0 for d in self.tail):
-            raise PreconditionError(f"negative tail entry in {self.tail!r}")
-
-
-def z_membership(delta: DeltaVector, beta) -> bool:
+def z_membership(delta, beta) -> bool:
     """Fixed-point condition for the candidate ``delta`` against ``beta``.
 
-    With s = delta.first - 1 and running threshold
-    t_i = s + sum_{j<i} (delta_j - beta_j):
-      beta_i < t_i  requires beta_i < delta_i;
-      beta_i > t_i  requires beta_i >= delta_i >= sum_{j<=i} beta_j
-                    - sum_{j<i} delta_j - s;
-      beta_i = t_i  requires beta_i < delta_i, or delta_i = 0 with
-                    beta_j = delta_j for every j > i.
+    ``delta`` is a tuple: the filled first-row length plus one, then the
+    lengths d_1..d_n of the rows starting with 1..n (zeros allowed).  With
+    s = delta_1 - 1 and running threshold t_i = s + sum_{j<i} (d_j - beta_j):
+      beta_i < t_i  requires beta_i < d_i;
+      beta_i > t_i  requires beta_i >= d_i >= sum_{j<=i} beta_j
+                    - sum_{j<i} d_j - s;
+      beta_i = t_i  requires beta_i < d_i, or d_i = 0 with
+                    beta_j = d_j for every j > i.
     """
     beta = check_composition(beta)
     n = len(beta)
-    if len(delta.tail) != n:
-        raise PreconditionError(
-            f"tail length {len(delta.tail)} != len(beta) {n}"
-        )
-    s = delta.first - 1
+    if len(delta) != n + 1:
+        raise PreconditionError(f"delta has {len(delta)} entries, want {n + 1}")
+    if delta[0] < 1 or any(d < 0 for d in delta):
+        raise PreconditionError(f"need delta_1 >= 1 and no negative entry: {delta!r}")
+    s = delta[0] - 1
     threshold = s
     beta_prefix = 0
     delta_prefix = 0
     for i in range(n):
-        b, d = beta[i], delta.tail[i]
+        b, d = beta[i], delta[i + 1]
         beta_prefix += b
         if b < threshold:
             if not b < d:
@@ -96,7 +79,7 @@ def z_membership(delta: DeltaVector, beta) -> bool:
         else:
             if not (
                 b < d
-                or (d == 0 and all(beta[j] == delta.tail[j] for j in range(i + 1, n)))
+                or (d == 0 and all(beta[j] == delta[j + 1] for j in range(i + 1, n)))
             ):
                 return False
         delta_prefix += d
@@ -104,10 +87,10 @@ def z_membership(delta: DeltaVector, beta) -> bool:
     return True
 
 
-def _zero_inserted_tail(gamma, k: int) -> tuple:
-    """Tail of the candidate with the zero row placed at position k (1-based):
-    gamma_2..gamma_k, 0, gamma_{k+1}..gamma_n."""
-    return gamma[1:k] + (0,) + gamma[k:]
+def _zero_inserted(gamma, k: int) -> tuple:
+    """The candidate with the zero row placed after position k:
+    gamma_1..gamma_k, 0, gamma_{k+1}..gamma_n."""
+    return gamma[:k] + (0,) + gamma[k:]
 
 
 def left_pieri_unit_coefficient(beta, gamma) -> int:
@@ -118,8 +101,7 @@ def left_pieri_unit_coefficient(beta, gamma) -> int:
     if sum(gamma) != 1 + sum(beta):
         return 0
     if len(gamma) == n + 1:
-        delta = DeltaVector(gamma[0], gamma[1:])
-        if z_membership(delta, beta):
+        if z_membership(gamma, beta):
             return sgn(tuple(beta[i] - gamma[i + 1] for i in range(n)))
         return 0
     if len(gamma) == n and n >= 1:
@@ -127,8 +109,7 @@ def left_pieri_unit_coefficient(beta, gamma) -> int:
         k = n
         while k > 1 and beta[k - 1] == gamma[k - 1]:
             k -= 1
-        delta = DeltaVector(gamma[0], _zero_inserted_tail(gamma, k))
-        if not z_membership(delta, beta):
+        if not z_membership(_zero_inserted(gamma, k), beta):
             return 0
         # largest r with beta weakly chained upward from k
         r = k
@@ -148,22 +129,25 @@ def zero_insertion_sign_sum(beta, gamma) -> int:
     n = len(beta)
     if sum(gamma) != 1 + sum(beta):
         return 0
-    total = 0
     if len(gamma) == n + 1:
-        delta = DeltaVector(gamma[0], gamma[1:])
-        if z_membership(delta, beta):
-            total += sgn(tuple(b - d for b, d in zip(beta, delta.tail)))
+        candidates = {gamma}
     elif len(gamma) == n and n >= 1:
-        seen = set()
-        for k in range(1, n + 1):
-            tail = _zero_inserted_tail(gamma, k)
-            if tail in seen:
-                continue
-            seen.add(tail)
-            delta = DeltaVector(gamma[0], tail)
-            if z_membership(delta, beta):
-                total += sgn(tuple(b - d for b, d in zip(beta, tail)))
-    return total
+        candidates = {_zero_inserted(gamma, k) for k in range(1, n + 1)}
+    else:
+        return 0
+    return sum(
+        sgn(tuple(b - d for b, d in zip(beta, delta[1:])))
+        for delta in candidates
+        if z_membership(delta, beta)
+    )
+
+
+def left_pieri_coefficient(s: int, beta, gamma) -> int:
+    """Coefficient of S_gamma in H_s * S_beta for s >= 1: 0 when gamma_1 < s,
+    else the closed-form value at gamma with its first part reduced by s - 1."""
+    if not gamma or gamma[0] < s:
+        return 0
+    return left_pieri_unit_coefficient(beta, (gamma[0] - s + 1,) + gamma[1:])
 
 
 def left_pieri(s: int, beta) -> LinComb:
@@ -183,10 +167,7 @@ def left_pieri(s: int, beta) -> LinComb:
         if length < 1:
             continue
         for gamma in compositions_of(total, length=length):
-            if gamma[0] < s:
-                continue
-            reduced = (gamma[0] - (s - 1),) + gamma[1:]
-            c = left_pieri_unit_coefficient(beta, reduced)
+            c = left_pieri_coefficient(s, beta, gamma)
             if c:
                 out[gamma] = c
-    return LinComb("S", out)
+    return _built("S", out)

@@ -17,7 +17,7 @@ from .compositions import (
     sort_composition,
 )
 from .errors import PreconditionError
-from .linear import LinComb, triangular_inverse
+from .linear import LinComb, _built, triangular_inverse
 from .nsym import structure_constant, sym_multiply
 from .tableaux import count_immaculate_LR, word_is_yamanouchi
 
@@ -36,7 +36,7 @@ def schur_to_h(lam) -> LinComb:
         entries = [lam[i] + sigma.images[i] - (i + 1) for i in range(k)]
         idx = sort_composition(e for e in entries if e > 0)
         out[idx] = out.get(idx, 0) + sigma.sign
-    return LinComb("h", out)
+    return _built("h", out)
 
 
 def h_to_schur(f: LinComb) -> LinComb:
@@ -125,7 +125,7 @@ def lr_coefficient_tableau(mu, nu, lam) -> int:
 def pieri_sym(mu, n: int) -> LinComb:
     """s_mu * h_n: sum over partitions adding a horizontal n-strip."""
     mu = check_partition(mu)
-    return LinComb("s", {nu: 1 for nu in horizontal_strip_successors(mu, n)})
+    return _built("s", {nu: 1 for nu in horizontal_strip_successors(mu, n)})
 
 
 def saturation_check_sym(mu, nu, lam, N: int) -> bool:

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .compositions import (
     Permutation,
+    _permutation,
     check_composition,
     check_partition,
     permutation_floors,
@@ -21,7 +22,7 @@ from .compositions import (
     right_pieri_successors,
 )
 from .errors import InvalidVectorError, PreconditionError, ResourceLimitError
-from .linear import LinComb
+from .linear import LinComb, _built
 
 # Node budget for backtracking enumerations.
 DEFAULT_SEARCH_LIMIT = 2_000_000
@@ -74,6 +75,14 @@ class SkewTableau:
             for r, row in enumerate(self.rows, 1)
             if self.inner_at(r) == 0 and row
         )
+
+
+def _tableau(inner: tuple, rows: tuple) -> SkewTableau:
+    """A tableau the package built itself, with at least ``len(inner)``
+    rows: no check."""
+    t = object.__new__(SkewTableau)
+    t.__dict__.update(inner=inner, rows=rows)
+    return t
 
 
 def reading_word(t: SkewTableau) -> tuple:
@@ -213,12 +222,12 @@ def enumerate_skew_immaculate(inner, content_vec, shape=None,
         if shape is not None:
             if r > len(shape):
                 if all(c == 0 for c in remaining):
-                    results.append(SkewTableau(inner, tuple(rows)))
+                    results.append(_tableau(inner, tuple(rows)))
                 return
             size = shape[r - 1] - (inner[r - 1] if r <= len(inner) else 0)
         else:
             if r > len(inner) and all(c == 0 for c in remaining):
-                results.append(SkewTableau(inner, tuple(rows)))
+                results.append(_tableau(inner, tuple(rows)))
                 return
             size = None
         # a row starting column 1 starts with the smallest remaining letter
@@ -259,19 +268,20 @@ def sigma_of(t: SkewTableau, beta) -> Permutation | None:
     images = tuple(c[j] - beta[j] + (j + 1) for j in range(m))
     if sorted(images) != list(range(1, m + 1)):
         return None
-    return Permutation(images)
+    return _permutation(images)
 
 
-def enumerate_T_alpha_beta(alpha, beta):
+def enumerate_T_alpha_beta(alpha, beta, shape=None):
     """All (T, sigma(T)) with T immaculate of inner shape alpha, entries in
-    {1..len(beta)}, and c(T) - beta + Id a permutation."""
+    {1..len(beta)}, and c(T) - beta + Id a permutation; only outer shape
+    ``shape`` when given."""
     alpha = check_composition(alpha)
     beta = check_composition(beta)
     m = len(beta)
     out = []
     for sigma in permutations(m, permutation_floors(beta)):
         c = tuple(beta[j] + sigma.images[j] - (j + 1) for j in range(m))
-        for t in enumerate_skew_immaculate(alpha, c):
+        for t in enumerate_skew_immaculate(alpha, c, shape=shape):
             out.append((t, sigma))
     return out
 
@@ -298,7 +308,7 @@ def signed_product(alpha, beta) -> LinComb:
             frontier = nxt
         for gamma, mult in frontier.items():
             out[gamma] = out.get(gamma, 0) + sigma.sign * mult
-    return LinComb("S", out)
+    return _built("S", out)
 
 
 def signed_product_via_tableaux(alpha, beta) -> LinComb:
@@ -308,4 +318,4 @@ def signed_product_via_tableaux(alpha, beta) -> LinComb:
     for t, sigma in enumerate_T_alpha_beta(alpha, beta):
         gamma = t.shape_composition()
         out[gamma] = out.get(gamma, 0) + sigma.sign
-    return LinComb("S", out)
+    return _built("S", out)

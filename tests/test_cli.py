@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,10 +220,13 @@ def test_output_is_deterministic(capsys):
 
 
 def test_installed_entry_point():
+    # the child imports the package under test, installed or not
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "immaculate.cli", "coeff",
          "-a", "2", "-b", "2,4", "-g", "3,1,4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"

@@ -17,6 +17,19 @@ def test_partition_bases_reject_compositions():
     LinComb("h", {(2, 1): 1})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LinComb("H", {(0, 1): 1}),
+    lambda: LinComb("S", [((2, "1"), 1)]),
+    lambda: LinComb.monomial("S", (1, -1)),
+    lambda: LinComb.zero("X"),
+    lambda: LinComb.from_json_dict(
+        {"basis": "H", "terms": [{"coefficient": 1, "index": [0]}]}),
+])
+def test_public_constructors_reject_bad_input(build):
+    with pytest.raises(PreconditionError):
+        build()
+
+
 def test_basis_mismatch():
     with pytest.raises(PreconditionError):
         LinComb.monomial("H", (1,)) + LinComb.monomial("S", (1,))

@@ -5,7 +5,6 @@ from immaculate.errors import PreconditionError
 from immaculate.linear import LinComb
 from immaculate.nsym import product_in_S_oracle
 from immaculate.pieri import (
-    DeltaVector,
     left_pieri,
     left_pieri_unit_coefficient,
     right_pieri,
@@ -42,11 +41,12 @@ def test_sgn(d, expected):
 
 
 def test_delta_vector_validation():
-    DeltaVector(1, (0, 0))
+    # delta = (delta_1, tail...): delta_1 >= 1 and no negative entry
+    assert z_membership((1, 0, 0), (1, 1)) is False
     with pytest.raises(PreconditionError):
-        DeltaVector(0, ())
+        z_membership((0,), ())
     with pytest.raises(PreconditionError):
-        DeltaVector(2, (-1,))
+        z_membership((2, -1), (1,))
 
 
 @pytest.mark.parametrize("first,tail,beta,expected", [
@@ -55,12 +55,12 @@ def test_delta_vector_validation():
     (3, (3, 1), (2, 4), True),
 ])
 def test_z_membership(first, tail, beta, expected):
-    assert z_membership(DeltaVector(first, tail), beta) is expected
+    assert z_membership((first,) + tail, beta) is expected
 
 
 def test_z_membership_length_mismatch():
     with pytest.raises(PreconditionError):
-        z_membership(DeltaVector(2, (1,)), (1, 1))
+        z_membership((2, 1), (1, 1))
 
 
 def test_unit_coefficient_longer_shape():

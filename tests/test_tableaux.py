@@ -35,6 +35,16 @@ def test_padding_and_shape():
     assert t.shape_composition() == (3, 1)
 
 
+@pytest.mark.parametrize("inner,rows", [
+    ((), ((1, 0),)),        # a 0 entry
+    ((), ((1, "2"),)),      # a non-int entry
+    ((2, 0), ((1,),)),      # an inner shape that is not a composition
+])
+def test_skew_tableau_rejects_malformed_input(inner, rows):
+    with pytest.raises(PreconditionError):
+        SkewTableau(inner, rows)
+
+
 def test_shape_rejects_interior_empty_row():
     t = SkewTableau((1,), ((2,), (), (1,)))
     with pytest.raises(PreconditionError):
@@ -116,6 +126,15 @@ def test_T_family_members_are_valid():
     for t, sigma in enumerate_T_alpha_beta((2,), (2, 4)):
         assert is_immaculate(t)
         assert sigma_of(t, (2, 4)) == sigma
+
+
+def test_T_family_with_shape_is_the_filtered_family():
+    for alpha, beta in (((1,), (3, 1, 4)), ((2,), (1, 2)), ((), (2, 1, 1))):
+        family = enumerate_T_alpha_beta(alpha, beta)
+        for gamma in {t.shape_composition() for t, _ in family} | {(9,)}:
+            assert enumerate_T_alpha_beta(alpha, beta, shape=gamma) == [
+                (t, sigma) for t, sigma in family if t.shape_composition() == gamma
+            ]
 
 
 def test_signed_product_example():
