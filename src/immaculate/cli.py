@@ -16,8 +16,9 @@ from .linear import LinComb, linear_sum
 from .nsym import (
     H_to_immaculate,
     forgetful_chi,
-    immaculate_to_H,
+    immaculate_comb_to_H,
     product_in_S_oracle,
+    structure_constant,
 )
 from .pieri import left_pieri, left_pieri_coefficient, right_pieri
 from .schur import h_to_schur
@@ -123,26 +124,20 @@ def cmd_product(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    # the source basis is H or S; h and s are reached through H
     basis, index = parse_basis_index(args.source)
-    f = LinComb.monomial(basis, index)
     target = args.to
-    if target == basis:
-        result = f
-    elif (basis, target) == ("H", "S"):
-        result = H_to_immaculate(f)
-    elif (basis, target) == ("S", "H"):
-        result = immaculate_to_H(index)
-    elif (basis, target) == ("H", "h"):
-        result = forgetful_chi(f)
-    elif (basis, target) == ("S", "h"):
-        result = forgetful_chi(immaculate_to_H(index))
-    elif (basis, target) == ("S", "s"):
-        result = h_to_schur(forgetful_chi(immaculate_to_H(index)))
-    elif (basis, target) == ("H", "s"):
-        result = h_to_schur(forgetful_chi(f))
-    else:
-        raise UsageError(f"cannot convert basis {basis!r} to {target!r}")
-    emit_combination(result, args.format)
+    f = LinComb.monomial(basis, index)
+    if target != basis:
+        if target == "S":
+            f = H_to_immaculate(f)
+        elif basis == "S":
+            f = immaculate_comb_to_H(f)
+        if target in ("h", "s"):
+            f = forgetful_chi(f)
+        if target == "s":
+            f = h_to_schur(f)
+    emit_combination(f, args.format)
     return EXIT_OK
 
 
@@ -159,8 +154,6 @@ def cmd_coeff(args) -> int:
             raise UsageError("the closed form needs a single-part alpha")
         value = left_pieri_coefficient(alpha[0], beta, gamma)
     else:
-        from .nsym import structure_constant
-
         value = structure_constant(alpha, beta, gamma)
     print(value)
     return EXIT_OK

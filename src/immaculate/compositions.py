@@ -268,3 +268,13 @@ def permutations(m: int, floors=()) -> tuple:
     fill(0, tuple(range(1, m + 1)))
     found.sort()
     return tuple(_permutation(images) for images in found)
+
+
+def shifted_entries(alpha) -> Iterator[tuple]:
+    """The terms of a signed permutation sum over ``alpha``: the pairs
+    (sigma, entries) with entries_i = alpha_i + sigma_i - i, in lexicographic
+    order of sigma, for every sigma that leaves no entry negative."""
+    for sigma in permutations(len(alpha), permutation_floors(alpha)):
+        yield sigma, tuple(
+            a + s - i for i, (a, s) in enumerate(zip(alpha, sigma.images), 1)
+        )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .compositions import Permutation, check_composition
 from .errors import PreconditionError
-from .tableaux import SkewTableau, _tableau, is_immaculate, sigma_of
+from .tableaux import SkewTableau, _sigma_of, _tableau, is_immaculate, sigma_of
 
 Rows = tuple
 
@@ -129,7 +129,7 @@ def phi_on_image(t: SkewTableau, beta, y_rows: Rows, sigma: Permutation,
         if (
             is_immaculate(candidate)
             and candidate.first_column() == t.first_column()
-            and sigma_of(candidate, beta) == new_sigma
+            and _sigma_of(candidate, beta) == new_sigma
         ):
             return candidate
     return t

@@ -32,8 +32,8 @@ class LinComb:
         self.terms = {idx: c for idx, c in summed.items() if c}
 
     @classmethod
-    def monomial(cls, basis, index, coeff=1):
-        return cls(basis, {tuple(index): coeff})
+    def monomial(cls, basis, index):
+        return cls(basis, {tuple(index): 1})
 
     @classmethod
     def zero(cls, basis):

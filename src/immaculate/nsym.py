@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .compositions import (
-    check_composition,
-    permutation_floors,
-    permutations,
-    sort_composition,
-)
+from .compositions import check_composition, shifted_entries, sort_composition
 from .errors import PreconditionError
 from .linear import LinComb, _built, linear_sum, triangular_inverse
 
@@ -65,15 +60,13 @@ def forgetful_chi(f: LinComb) -> LinComb:
 def immaculate_to_H(alpha) -> LinComb:
     """Expand S_alpha in the H basis via the signed permutation sum.
 
-    Each permutation sigma contributes sign(sigma) * H at the index with
-    entries alpha_i + sigma_i - i; a zero entry is deleted (H_0 = 1) and a
-    negative entry kills the whole term (H_m = 0 for m < 0).
+    Each permutation sigma contributes sign(sigma) * H at the index of its
+    shifted entries (``shifted_entries``) with the zeros deleted (H_0 = 1);
+    a negative entry kills the term (H_m = 0 for m < 0) and is never made.
     """
     alpha = check_composition(alpha)
-    k = len(alpha)
     out = {}
-    for sigma in permutations(k, permutation_floors(alpha)):
-        entries = [alpha[i] + sigma.images[i] - (i + 1) for i in range(k)]
+    for sigma, entries in shifted_entries(alpha):
         idx = tuple(e for e in entries if e > 0)
         out[idx] = out.get(idx, 0) + sigma.sign
     return _built("H", out)

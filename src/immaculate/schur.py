@@ -11,29 +11,32 @@ from .compositions import (
     check_partition,
     horizontal_strip_successors,
     is_partition,
-    permutation_floors,
-    permutations,
     scale,
+    shifted_entries,
     sort_composition,
 )
 from .errors import PreconditionError
 from .linear import LinComb, _built, triangular_inverse
 from .nsym import structure_constant, sym_multiply
-from .tableaux import count_immaculate_LR, word_is_yamanouchi
+from .tableaux import (
+    count_immaculate_LR,
+    enumerate_skew_immaculate,
+    is_semistandard,
+    is_yamanouchi,
+)
 
 
 @lru_cache(maxsize=None)
 def schur_to_h(lam) -> LinComb:
     """Expand s_lam in the h basis by the signed sum over permutations.
 
-    Index entries are lam_i + sigma_i - i with h_0 = 1 and h_m = 0 for m < 0;
-    surviving indices are sorted into partitions and merged.
+    The index of a term is its shifted entries (``shifted_entries``) with
+    h_0 = 1 and h_m = 0 for m < 0, sorted into a partition; equal indices
+    are merged.
     """
     lam = check_partition(lam)
-    k = len(lam)
     out = {}
-    for sigma in permutations(k, permutation_floors(lam)):
-        entries = [lam[i] + sigma.images[i] - (i + 1) for i in range(k)]
+    for sigma, entries in shifted_entries(lam):
         idx = sort_composition(e for e in entries if e > 0)
         out[idx] = out.get(idx, 0) + sigma.sign
     return _built("h", out)
@@ -65,61 +68,17 @@ def lr_coefficient_algebra(mu, nu, lam) -> int:
 
 def lr_coefficient_tableau(mu, nu, lam) -> int:
     """Count of skew semistandard Yamanouchi tableaux of shape lam/mu and
-    content nu; an enumeration route independent of the algebra."""
+    content nu; an enumeration route independent of the algebra.  A
+    semistandard tableau of shape lam/mu is immaculate, so the count runs
+    over the immaculate family, under the enumerator's node budget."""
     mu = check_partition(mu)
     nu = check_partition(nu)
     lam = check_partition(lam)
-    if sum(lam) != sum(mu) + sum(nu):
-        return 0
-    if len(lam) < len(mu) or any(lam[i] < mu[i] for i in range(len(mu))):
-        return 0
-
-    sizes = [lam[r] - (mu[r] if r < len(mu) else 0) for r in range(len(lam))]
-    remaining = list(nu)
-    count = 0
-    rows: list[tuple] = []
-
-    def fill_row(r):
-        nonlocal count
-        if r == len(lam):
-            if all(c == 0 for c in remaining):
-                word = [e for row in rows for e in reversed(row)]
-                if word_is_yamanouchi(word):
-                    count += 1
-            return
-        off = mu[r] if r < len(mu) else 0
-        off_above = mu[r - 1] if 0 <= r - 1 < len(mu) else 0
-
-        def lower_bound(pos):
-            # strict increase below the cell directly above, when it is filled
-            column = off + pos + 1
-            if r == 0:
-                return 1
-            above_pos = column - off_above - 1
-            if 0 <= above_pos < len(rows[r - 1]):
-                return rows[r - 1][above_pos] + 1
-            return 1
-
-        def build(pos, row):
-            nonlocal count
-            if pos == sizes[r]:
-                rows.append(tuple(row))
-                fill_row(r + 1)
-                rows.pop()
-                return
-            lo = max(lower_bound(pos), row[-1] if row else 1)
-            for val in range(lo, len(nu) + 1):
-                if remaining[val - 1] > 0:
-                    remaining[val - 1] -= 1
-                    row.append(val)
-                    build(pos + 1, row)
-                    row.pop()
-                    remaining[val - 1] += 1
-
-        build(0, [])
-
-    fill_row(0)
-    return count
+    return sum(
+        1
+        for t in enumerate_skew_immaculate(mu, nu, shape=lam)
+        if is_semistandard(t) and is_yamanouchi(t)
+    )
 
 
 def pieri_sym(mu, n: int) -> LinComb:

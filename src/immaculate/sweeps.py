@@ -69,9 +69,10 @@ def _partition_triples(max_size):
                         yield mu, nu, lam
 
 
-def sweep_roundtrip(max_degree=8):
-    """H -> S -> H on monomials and S -> H -> S on basis elements."""
-    for alpha in _all_compositions_up_to(max_degree):
+def sweep_roundtrip(max_size):
+    """H -> S -> H on monomials and S -> H -> S on basis elements, over every
+    composition of size <= max_size."""
+    for alpha in _all_compositions_up_to(max_size):
         f = LinComb.monomial("H", alpha)
         back = immaculate_comb_to_H(H_to_immaculate(f))
         if back != f:
@@ -82,20 +83,22 @@ def sweep_roundtrip(max_degree=8):
     return None
 
 
-def sweep_right_pieri(max_alpha=6, max_s=4):
-    """Right Pieri rule against the oracle; H_s = S_(s)."""
-    for alpha in _all_compositions_up_to(max_alpha):
-        for s in range(1, max_s + 1):
+def sweep_right_pieri(max_size):
+    """Right Pieri rule against the oracle for |alpha| <= max_size and
+    s <= 4; H_s = S_(s)."""
+    for alpha in _all_compositions_up_to(max_size):
+        for s in range(1, 5):
             if right_pieri(alpha, s) != product_in_S_oracle(alpha, (s,)):
                 return f"right Pieri failed at alpha={alpha}, s={s}"
     return None
 
 
-def sweep_left_pieri(max_beta=7, max_len=4, max_s=3):
+def sweep_left_pieri(max_size):
     """Closed-form left Pieri rule against the oracle, plus multiplicity
-    freeness and the zero-insertion cancellation bookkeeping."""
-    for beta in _all_compositions_up_to(max_beta, max_length=max_len):
-        for s in range(1, max_s + 1):
+    freeness and the zero-insertion cancellation bookkeeping, for
+    |beta| <= max_size, len(beta) <= 4 and s <= 3."""
+    for beta in _all_compositions_up_to(max_size, max_length=4):
+        for s in range(1, 4):
             closed = left_pieri(s, beta)
             oracle = product_in_S_oracle((s,), beta)
             if closed != oracle:
@@ -114,14 +117,15 @@ def sweep_left_pieri(max_beta=7, max_len=4, max_s=3):
     return None
 
 
-def sweep_translation(max_total=6, max_v=2):
-    """Structure constants are invariant under admissible prefix shifts."""
+def sweep_translation(max_size):
+    """Structure constants are invariant under admissible prefix shifts v,
+    for |alpha| + |beta| <= max_size and |v| <= 2."""
     compared = 0
-    for alpha, beta in _pairs(max_total, compositions_of):
+    for alpha, beta in _pairs(max_size, compositions_of):
         if not alpha:
             continue
         base = product_in_S_oracle(alpha, beta)
-        for v in _all_compositions_up_to(max_v):
+        for v in _all_compositions_up_to(2):
             if not v or len(v) > len(alpha):
                 continue
             compared += 1
@@ -141,10 +145,11 @@ def sweep_translation(max_total=6, max_v=2):
     return None if compared else NOTHING_COMPARED
 
 
-def sweep_lr_partition(max_total=7):
+def sweep_lr_partition(max_size):
     """Every oracle coefficient with a partition right factor equals the
-    immaculate Yamanouchi tableau count (hence is nonnegative)."""
-    for alpha, lam in _pairs(max_total, partitions_of):
+    immaculate Yamanouchi tableau count (hence is nonnegative), for
+    |alpha| + |lam| <= max_size."""
+    for alpha, lam in _pairs(max_size, partitions_of):
         expansion = product_in_S_oracle(alpha, lam)
         for gamma in compositions_of(sum(alpha) + sum(lam)):
             got = expansion.coefficient(gamma)
@@ -166,14 +171,15 @@ def _straighten(t, beta, memo):
     return y_rows, sigma, nefarious_cells(y_rows)
 
 
-def sweep_involution(max_total=6):
+def sweep_involution(max_size):
     """Involution, shape preservation, sign reversal, and the left-most
-    nefarious cell characterization, over the whole family.
+    nefarious cell characterization, over the whole family for every
+    |alpha| + |beta| <= max_size.
 
     Each family member is straightened once; ``phi_r`` runs on the memoised
     image, and a fixed point needs no second application."""
     compared = 0
-    for alpha, beta in _pairs(max_total, compositions_of):
+    for alpha, beta in _pairs(max_size, compositions_of):
         memo = {}  # one family at a time
         for t, _ in enumerate_T_alpha_beta(alpha, beta):
             y_rows, sigma, cells = _straighten(t, beta, memo)
@@ -219,13 +225,14 @@ def sweep_involution(max_total=6):
     return None if compared else NOTHING_COMPARED
 
 
-def sweep_saturation_sym(max_size=6, N=2):
-    """Saturation holds for Schur structure constants."""
+def sweep_saturation_sym(max_size):
+    """Saturation holds for Schur structure constants, scaled by N = 2, for
+    |lam| <= max_size."""
     for mu, nu, lam in _partition_triples(max_size):
-        if not saturation_check_sym(mu, nu, lam, N):
+        if not saturation_check_sym(mu, nu, lam, 2):
             return (
                 "symmetric saturation failed at "
-                f"mu={mu}, nu={nu}, lam={lam}, N={N}"
+                f"mu={mu}, nu={nu}, lam={lam}, N=2"
             )
     return None
 
@@ -250,18 +257,19 @@ def sweep_saturation_nsym():
     return None
 
 
-def sweep_chi(max_n=6):
+def sweep_chi(max_size):
     """The forgetful projection sends the Schur-like basis at a partition
-    index to the Schur function."""
-    for n in range(max_n + 1):
+    index of size <= max_size to the Schur function."""
+    for n in range(max_size + 1):
         for lam in partitions_of(n):
             if forgetful_chi(immaculate_to_H(lam)) != schur_to_h(lam):
                 return f"chi mismatch at lam={lam}"
     return None
 
 
-def sweep_lr_classical(max_size=8):
-    """Tableau-count and algebraic Littlewood-Richardson routes agree."""
+def sweep_lr_classical(max_size):
+    """Tableau-count and algebraic Littlewood-Richardson routes agree for
+    |lam| <= max_size."""
     for mu, nu, lam in _partition_triples(max_size):
         got = lr_coefficient_algebra(mu, nu, lam)
         want = lr_coefficient_tableau(mu, nu, lam)
@@ -274,15 +282,16 @@ def sweep_lr_classical(max_size=8):
     return None
 
 
+# sweeps are looked up at call time, so a rebinding of their names reaches them
 SUITES = {
-    "roundtrip": lambda max_size: sweep_roundtrip(max_degree=max_size),
-    "right-pieri": lambda max_size: sweep_right_pieri(max_alpha=max_size),
-    "left-pieri": lambda max_size: sweep_left_pieri(max_beta=max_size),
-    "translation": lambda max_size: sweep_translation(max_total=max_size),
-    "lr-partition": lambda max_size: sweep_lr_partition(max_total=max_size),
-    "involution": lambda max_size: sweep_involution(max_total=max_size),
-    "saturation-sym": lambda max_size: sweep_saturation_sym(max_size=max_size),
+    "roundtrip": lambda max_size: sweep_roundtrip(max_size),
+    "right-pieri": lambda max_size: sweep_right_pieri(max_size),
+    "left-pieri": lambda max_size: sweep_left_pieri(max_size),
+    "translation": lambda max_size: sweep_translation(max_size),
+    "lr-partition": lambda max_size: sweep_lr_partition(max_size),
+    "involution": lambda max_size: sweep_involution(max_size),
+    "saturation-sym": lambda max_size: sweep_saturation_sym(max_size),
     "saturation-nsym": lambda max_size: sweep_saturation_nsym(),
-    "chi": lambda max_size: sweep_chi(max_n=max_size),
-    "lr-classical": lambda max_size: sweep_lr_classical(max_size=max_size),
+    "chi": lambda max_size: sweep_chi(max_size),
+    "lr-classical": lambda max_size: sweep_lr_classical(max_size),
 }

@@ -17,9 +17,8 @@ from .compositions import (
     _permutation,
     check_composition,
     check_partition,
-    permutation_floors,
-    permutations,
     right_pieri_successors,
+    shifted_entries,
 )
 from .errors import InvalidVectorError, PreconditionError, ResourceLimitError
 from .linear import LinComb, _built
@@ -130,23 +129,17 @@ def is_semistandard(t: SkewTableau) -> bool:
     return True
 
 
-def word_is_yamanouchi(word) -> bool:
-    """Every prefix of ``word`` has at least as many j's as (j+1)'s."""
+def is_yamanouchi(t: SkewTableau) -> bool:
+    """Every reading-word prefix has at least as many j's as (j+1)'s."""
     seen = {}
-    for letter in word:
+    for letter in reading_word(t):
         seen[letter] = seen.get(letter, 0) + 1
         if letter > 1 and seen[letter] > seen.get(letter - 1, 0):
             return False
     return True
 
 
-def is_yamanouchi(t: SkewTableau) -> bool:
-    """Every reading-word prefix has at least as many j's as (j+1)'s."""
-    return word_is_yamanouchi(reading_word(t))
-
-
-def enumerate_skew_immaculate(inner, content_vec, shape=None,
-                              search_limit=DEFAULT_SEARCH_LIMIT):
+def enumerate_skew_immaculate(inner, content_vec, shape=None):
     """All immaculate skew tableaux with the given inner shape and exact content.
 
     A row of an immaculate tableau is determined by its multiset of entries,
@@ -158,7 +151,7 @@ def enumerate_skew_immaculate(inner, content_vec, shape=None,
     with a strictly larger letter, so that row starts with the smallest
     remaining letter and takes all of its copies.  With ``shape`` given, a
     row's count vector is cut off as soon as the letters still allowed
-    cannot fill it.  Every visited node counts against ``search_limit``.
+    cannot fill it.  Every visited node counts against DEFAULT_SEARCH_LIMIT.
     """
     inner = check_composition(inner)
     content_vec = tuple(content_vec)
@@ -174,7 +167,7 @@ def enumerate_skew_immaculate(inner, content_vec, shape=None,
         if sum(shape) - sum(inner) != sum(content_vec):
             return []
 
-    budget = [search_limit]
+    budget = [DEFAULT_SEARCH_LIMIT]
     results = []
 
     def visit():
@@ -259,7 +252,11 @@ def count_immaculate_LR(alpha, lam, gamma) -> int:
 
 def sigma_of(t: SkewTableau, beta) -> Permutation | None:
     """The permutation c(T) - beta + Id, or None when it is not a permutation."""
-    beta = check_composition(beta)
+    return _sigma_of(t, check_composition(beta))
+
+
+def _sigma_of(t: SkewTableau, beta: tuple) -> Permutation | None:
+    """``sigma_of`` for a ``beta`` the package built itself: no check."""
     m = len(beta)
     try:
         c = content(t, m)
@@ -277,10 +274,8 @@ def enumerate_T_alpha_beta(alpha, beta, shape=None):
     ``shape`` when given."""
     alpha = check_composition(alpha)
     beta = check_composition(beta)
-    m = len(beta)
     out = []
-    for sigma in permutations(m, permutation_floors(beta)):
-        c = tuple(beta[j] + sigma.images[j] - (j + 1) for j in range(m))
+    for sigma, c in shifted_entries(beta):
         for t in enumerate_skew_immaculate(alpha, c, shape=shape):
             out.append((t, sigma))
     return out
@@ -289,14 +284,12 @@ def enumerate_T_alpha_beta(alpha, beta, shape=None):
 @lru_cache(maxsize=None)
 def signed_product(alpha, beta) -> LinComb:
     """S_alpha * S_beta via the signed sum over permutations of iterated
-    right Pieri steps; step sizes beta_j + sigma_j - j, zero steps skipped,
-    a negative step annihilates the term."""
+    right Pieri steps whose sizes are the shifted entries of beta
+    (``shifted_entries``); zero steps are skipped."""
     alpha = check_composition(alpha)
     beta = check_composition(beta)
-    m = len(beta)
     out = {}
-    for sigma in permutations(m, permutation_floors(beta)):
-        steps = [beta[j] + sigma.images[j] - (j + 1) for j in range(m)]
+    for sigma, steps in shifted_entries(beta):
         frontier = {alpha: 1}
         for s in steps:
             if s == 0:

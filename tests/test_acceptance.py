@@ -85,39 +85,37 @@ def test_03_closed_form_single_coefficient():
 
 
 def test_04_right_pieri_exhaustive():
-    witness, elapsed = timed(lambda: sweep_right_pieri(max_alpha=6, max_s=4))
+    witness, elapsed = timed(lambda: sweep_right_pieri(6))
     report("right Pieri |alpha|<=6, s<=4", elapsed, 120,
            witness is None, witness or "")
 
 
 def test_05_left_pieri_exhaustive():
-    witness, elapsed = timed(
-        lambda: sweep_left_pieri(max_beta=7, max_len=4, max_s=3)
-    )
+    witness, elapsed = timed(lambda: sweep_left_pieri(7))
     report("left Pieri |beta|<=7, len<=4, s<=3", elapsed, 300,
            witness is None, witness or "")
 
 
 def test_06_translation_invariance():
-    witness, elapsed = timed(lambda: sweep_translation(max_total=6, max_v=2))
+    witness, elapsed = timed(lambda: sweep_translation(6))
     report("translation invariance |alpha|+|beta|<=6, |v|<=2", elapsed, 300,
            witness is None, witness or "")
 
 
 def test_07_lr_positivity_partition_right_factor():
-    witness, elapsed = timed(lambda: sweep_lr_partition(max_total=7))
+    witness, elapsed = timed(lambda: sweep_lr_partition(7))
     report("LR positivity |alpha|+|lam|<=7", elapsed, 300,
            witness is None, witness or "")
 
 
 def test_08_involution_laws():
-    witness, elapsed = timed(lambda: sweep_involution(max_total=6))
+    witness, elapsed = timed(lambda: sweep_involution(6))
     report("involution laws |alpha|+|beta|<=6", elapsed, 300,
            witness is None, witness or "")
 
 
 def test_09_basis_round_trip():
-    witness, elapsed = timed(lambda: sweep_roundtrip(max_degree=8))
+    witness, elapsed = timed(lambda: sweep_roundtrip(8))
     report("basis round trip degree<=8", elapsed, 60,
            witness is None, witness or "")
 
@@ -125,9 +123,9 @@ def test_09_basis_round_trip():
 def test_10_classical_frame():
     def check():
         return (
-            sweep_lr_classical(max_size=8)
-            or sweep_saturation_sym(max_size=6, N=2)
-            or sweep_chi(max_n=6)
+            sweep_lr_classical(8)
+            or sweep_saturation_sym(6)
+            or sweep_chi(6)
         )
 
     witness, elapsed = timed(check)

@@ -58,16 +58,23 @@ def test_product_json_round_trips(capsys):
     }
 
 
-def test_convert(capsys):
-    code, out, _ = run(capsys, "convert", "H:1,2", "--to", "S")
-    assert code == 0
-    assert out.strip() == "S[1,2] + S[2,1] + S[3]"
-    code, out, _ = run(capsys, "convert", "S:1,1", "--to", "H")
-    assert code == 0
-    assert out.strip() == "H[1,1] - H[2]"
-    code, out, _ = run(capsys, "convert", "H:1,2", "--to", "h")
-    assert code == 0
-    assert out.strip() == "h[2,1]"
+# one source index per basis, every target basis
+CONVERSIONS = {
+    ("H:1,2", "H"): "H[1,2]",
+    ("H:1,2", "S"): "S[1,2] + S[2,1] + S[3]",
+    ("H:1,2", "h"): "h[2,1]",
+    ("H:1,2", "s"): "s[2,1] + s[3]",
+    ("S:1,3", "H"): "H[1,3] - H[2,2]",
+    ("S:1,3", "S"): "S[1,3]",
+    ("S:1,3", "h"): "-h[2,2] + h[3,1]",
+    ("S:1,3", "s"): "-s[2,2]",
+}
+
+
+@pytest.mark.parametrize("source,target", CONVERSIONS, ids=lambda v: v[0])
+def test_convert(capsys, source, target):
+    code, out, _ = run(capsys, "convert", source, "--to", target)
+    assert (code, out.strip()) == (0, CONVERSIONS[source, target])
 
 
 def test_coeff_methods(capsys):

@@ -1,7 +1,8 @@
 import pytest
 
+from immaculate import tableaux
 from immaculate.compositions import partitions_of, scale
-from immaculate.errors import PreconditionError
+from immaculate.errors import PreconditionError, ResourceLimitError
 from immaculate.linear import LinComb
 from immaculate.schur import (
     h_to_schur,
@@ -51,6 +52,14 @@ def test_lr_routes_agree():
                     for lam in partitions_of(total):
                         assert lr_coefficient_algebra(mu, nu, lam) == \
                             lr_coefficient_tableau(mu, nu, lam)
+
+
+def test_lr_coefficient_tableau_has_a_node_budget(monkeypatch):
+    mu, nu, lam = (2, 1), (2, 1), (3, 2, 1)
+    assert lr_coefficient_tableau(mu, nu, lam) == 2
+    monkeypatch.setattr(tableaux, "DEFAULT_SEARCH_LIMIT", 10)
+    with pytest.raises(ResourceLimitError):
+        lr_coefficient_tableau(mu, nu, lam)
 
 
 def test_lr_coefficients_nonnegative():

@@ -1,5 +1,6 @@
 import pytest
 
+from immaculate import tableaux
 from immaculate.compositions import Permutation, compositions_of
 from immaculate.errors import (
     InvalidVectorError,
@@ -110,9 +111,10 @@ def test_enumerate_empty_content():
     assert ts[0].n_cells == 0
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
+    monkeypatch.setattr(tableaux, "DEFAULT_SEARCH_LIMIT", 50)
     with pytest.raises(ResourceLimitError):
-        enumerate_skew_immaculate((), (4, 4, 4, 4), search_limit=50)
+        enumerate_skew_immaculate((), (4, 4, 4, 4))
 
 
 def test_sigma_of():
