@@ -10,12 +10,24 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations, combinations_with_replacement
+from math import comb, prod
+from operator import add, sub
 from typing import Iterator
 
 from .errors import InvalidVectorError, PreconditionError, ResourceLimitError
 
-# Permutation enumerations grow as m!; refuse anything past this.
-MAX_PERMUTATION_SIZE = 10
+# Work that visits more items than this is refused: counted before it starts
+# where the count is known, and as it goes in the triangular elimination.
+ENUMERATION_LIMIT = 500_000
+
+
+def check_enumeration(what: str, count: int):
+    """Refuse to visit ``count`` items (``what``) past ENUMERATION_LIMIT."""
+    if count > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"refusing to enumerate {count} {what} (limit {ENUMERATION_LIMIT})"
+        )
 
 
 def check_composition(alpha) -> tuple:
@@ -76,6 +88,7 @@ def right_pieri_successors(alpha, s: int) -> set:
     """
     if s < 1:
         raise PreconditionError(f"s must be >= 1, got {s}")
+    check_enumeration("right Pieri terms", comb(s + len(alpha), len(alpha)))
     out = set()
     for extra in weak_compositions(s, len(alpha) + 1):
         beta = tuple(a + e for a, e in zip(alpha, extra))
@@ -124,36 +137,32 @@ def horizontal_strip_successors(mu, n: int) -> set:
 
 
 def weak_compositions(n: int, length: int) -> Iterator[tuple]:
-    """All length-``length`` tuples of nonnegative integers summing to ``n``."""
-    if length == 0:
-        if n == 0:
+    """All length-``length`` tuples of nonnegative integers summing to ``n``,
+    in lexicographic order: that of their cut points 0 <= c_1 <= ... <= n."""
+    if length < 1 or n < 0:
+        if n == length == 0:
             yield ()
         return
-    for first in range(n + 1):
-        for rest in weak_compositions(n - first, length - 1):
-            yield (first,) + rest
+    for cuts in combinations_with_replacement(range(n + 1), length - 1):
+        yield tuple(map(sub, cuts + (n,), (0,) + cuts))
 
 
 def compositions_of(n: int, length: int | None = None,
                     max_length: int | None = None) -> Iterator[tuple]:
-    """All compositions of ``n``, optionally with (maximum) length fixed."""
-    if length is not None:
-        if length == 0:
-            if n == 0:
+    """All compositions of ``n``, optionally with (maximum) length fixed, by
+    length, then in lexicographic order: that of their cut points 0 < c_1 < ... < n."""
+    if length is None:
+        top = n if max_length is None else min(n, max_length)
+        lengths = range(top + 1)
+    else:
+        lengths = (length,)
+    for ln in lengths:
+        if ln < 1 or n < ln:
+            if n == ln == 0:
                 yield ()
-            return
-        if n < length:
-            return
-        for first in range(1, n - length + 2):
-            for rest in compositions_of(n - first, length - 1):
-                yield (first,) + rest
-        return
-    if n == 0:
-        yield ()
-        return
-    top = n if max_length is None else min(n, max_length)
-    for ln in range(1, top + 1):
-        yield from compositions_of(n, length=ln)
+            continue
+        for cuts in combinations(range(1, n), ln - 1):
+            yield tuple(map(sub, cuts + (n,), (0,) + cuts))
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple]:
@@ -241,18 +250,19 @@ def permutations(m: int, floors=()) -> tuple:
 
     Positions are filled in order of decreasing floor.  A value that clears
     one floor clears every later, lower one, so every partial filling
-    completes and the cost follows the number of survivors, not m!.
+    completes and the cost follows the number of survivors, not m!.  The
+    position filled t-th (from 0) has m + 1 - max(floor, 1) - t choices, so
+    the number of survivors is known, and checked, before any is made.
     """
     if m < 0:
         raise PreconditionError(f"m must be >= 0, got {m}")
-    if m > MAX_PERMUTATION_SIZE:
-        raise ResourceLimitError(
-            f"refusing to enumerate S_{m} (guard is {MAX_PERMUTATION_SIZE})"
-        )
     if len(floors) > m:
         raise PreconditionError(f"{len(floors)} floors for S_{m}")
     floors = floors + (1,) * (m - len(floors))
     order = sorted(range(m), key=lambda i: -floors[i])
+    survivors = prod(max(0, m + 1 - max(floors[i], 1) - t)
+                     for t, i in enumerate(order))
+    check_enumeration(f"surviving permutations of S_{m}", survivors)
     images = [0] * m
     found = []
 
@@ -274,7 +284,6 @@ def shifted_entries(alpha) -> Iterator[tuple]:
     """The terms of a signed permutation sum over ``alpha``: the pairs
     (sigma, entries) with entries_i = alpha_i + sigma_i - i, in lexicographic
     order of sigma, for every sigma that leaves no entry negative."""
+    base = tuple(a - i for i, a in enumerate(alpha, 1))
     for sigma in permutations(len(alpha), permutation_floors(alpha)):
-        yield sigma, tuple(
-            a + s - i for i, (a, s) in enumerate(zip(alpha, sigma.images), 1)
-        )
+        yield sigma, tuple(map(add, base, sigma.images))

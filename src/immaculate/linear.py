@@ -7,7 +7,12 @@ terms iterate in graded lexicographic order so output is deterministic.
 
 from __future__ import annotations
 
-from .compositions import check_composition, check_partition, grlex_key
+from .compositions import (
+    check_composition,
+    check_enumeration,
+    check_partition,
+    grlex_key,
+)
 from .errors import PreconditionError
 
 BASES = ("H", "S", "h", "s")
@@ -44,10 +49,12 @@ class LinComb:
 
     def items(self):
         """Terms in graded-lex order of the index."""
-        return [(idx, self.terms[idx]) for idx in sorted(self.terms, key=grlex_key)]
+        support = self.support()
+        return list(zip(support, map(self.terms.__getitem__, support)))
 
     def support(self):
-        return sorted(self.terms, key=grlex_key)
+        """Indices in graded-lex order: lexicographic, then stably by degree."""
+        return sorted(sorted(self.terms), key=sum)
 
     def _require_same_basis(self, other):
         if not isinstance(other, LinComb) or other.basis != self.basis:
@@ -147,13 +154,21 @@ def triangular_inverse(f: LinComb, expand, basis: str) -> LinComb:
     strictly larger in graded-lex order.  Repeatedly extract the
     graded-lex-smallest surviving term; its coefficient is the coefficient
     of that target basis element.
+
+    Each step scans the surviving terms and applies one expansion; the
+    terms visited so far are counted against ENUMERATION_LIMIT.
     """
     remaining = dict(f.terms)
     out = {}
+    what, visited = f"terms in elimination to {basis}", 0
     while remaining:
+        visited += len(remaining)
+        check_enumeration(what, visited)
         index = min(remaining, key=grlex_key)
         c = out[index] = remaining[index]
-        for idx, cc in expand(index).terms.items():
+        terms = expand(index).terms
+        visited += len(terms)
+        for idx, cc in terms.items():
             val = remaining.get(idx, 0) - c * cc
             if val:
                 remaining[idx] = val

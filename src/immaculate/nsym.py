@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .compositions import check_composition, shifted_entries, sort_composition
+from .compositions import (
+    check_composition,
+    check_enumeration,
+    shifted_entries,
+    sort_composition,
+)
 from .errors import PreconditionError
 from .linear import LinComb, _built, linear_sum, triangular_inverse
 
@@ -26,6 +31,7 @@ def h_multiply(f: LinComb, g: LinComb) -> LinComb:
     """Product in the H basis: bilinear extension of index concatenation."""
     _require(f, "H")
     _require(g, "H")
+    check_enumeration("term products in H", len(f.terms) * len(g.terms))
     out = {}
     for a, ca in f.terms.items():
         for b, cb in g.terms.items():
@@ -38,6 +44,7 @@ def sym_multiply(f: LinComb, g: LinComb) -> LinComb:
     """Product in the commutative h basis: concatenate, then sort the index."""
     _require(f, "h")
     _require(g, "h")
+    check_enumeration("term products in h", len(f.terms) * len(g.terms))
     out = {}
     for a, ca in f.terms.items():
         for b, cb in g.terms.items():
@@ -67,7 +74,7 @@ def immaculate_to_H(alpha) -> LinComb:
     alpha = check_composition(alpha)
     out = {}
     for sigma, entries in shifted_entries(alpha):
-        idx = tuple(e for e in entries if e > 0)
+        idx = tuple(filter(None, entries))
         out[idx] = out.get(idx, 0) + sigma.sign
     return _built("H", out)
 

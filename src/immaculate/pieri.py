@@ -8,8 +8,11 @@ and a sign that counts negative entries of beta minus the tail.
 
 from __future__ import annotations
 
+from math import comb
+
 from .compositions import (
     check_composition,
+    check_enumeration,
     compositions_of,
     right_pieri_successors,
 )
@@ -153,21 +156,23 @@ def left_pieri_coefficient(s: int, beta, gamma) -> int:
 def left_pieri(s: int, beta) -> LinComb:
     """H_s * S_beta via translation to the single-cell left factor.
 
-    Candidate outer shapes have len(beta) or len(beta)+1 parts, first part at
-    least s; each coefficient is the closed-form value at gamma with its first
-    part reduced by s - 1.
+    The outer shapes gamma have len(beta) or len(beta)+1 parts and first
+    part at least s.  Reducing gamma_1 by s - 1 maps them one to one onto
+    the compositions gamma' of |beta| + 1 of those lengths, and the
+    coefficient of S_gamma is the closed-form value at gamma'.
     """
     if s < 1:
         raise PreconditionError(f"s must be >= 1, got {s}")
     beta = check_composition(beta)
     n = len(beta)
-    total = s + sum(beta)
+    size = sum(beta) + 1
+    check_enumeration("left Pieri candidates", comb(size, n))
     out = {}
     for length in {n, n + 1}:
         if length < 1:
             continue
-        for gamma in compositions_of(total, length=length):
-            c = left_pieri_coefficient(s, beta, gamma)
+        for reduced in compositions_of(size, length=length):
+            c = left_pieri_unit_coefficient(beta, reduced)
             if c:
-                out[gamma] = c
+                out[(reduced[0] + s - 1,) + reduced[1:]] = c
     return _built("S", out)

@@ -37,7 +37,7 @@ def schur_to_h(lam) -> LinComb:
     lam = check_partition(lam)
     out = {}
     for sigma, entries in shifted_entries(lam):
-        idx = sort_composition(e for e in entries if e > 0)
+        idx = sort_composition(filter(None, entries))
         out[idx] = out.get(idx, 0) + sigma.sign
     return _built("h", out)
 

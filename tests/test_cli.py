@@ -16,6 +16,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_child(*argv, timeout=None):
+    """The CLI in a child process, which imports the package under test,
+    installed or not."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "immaculate.cli", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=timeout,
+    )
+
+
 @pytest.mark.parametrize("text,expected", [
     ("2,4", (2, 4)),
     ("0", ()),
@@ -153,13 +164,36 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_resource_limit_exit_3(capsys):
-    long_beta = ",".join(["1"] * 11)
+    # the signed sum over beta = (5^10) has 933,120 surviving permutations
     code, _, err = run(
-        capsys, "product", "--left", "S:1", "--right", f"S:{long_beta}",
+        capsys, "product", "--left", "S:1", "--right", "S:" + ",".join(["5"] * 10),
         "--method", "tableau",
     )
     assert code == 3
     assert "resource limit" in err
+    assert "933120 surviving permutations of S_10 (limit 500000)" in err
+
+
+@pytest.mark.parametrize("argv,counted,seconds", [
+    (["convert", "S:" + ",".join(["5"] * 10), "--to", "H"],
+     "933120 surviving permutations", 5),
+    (["right-pieri", "--alpha", "1,1,1,1,1", "--s", "60"],
+     "8259888 right Pieri terms", 5),
+    (["left-pieri", "--s", "1", "--beta", "30,30,30,30"],
+     "8495410 left Pieri candidates", 5),
+    (["product", "--left", "S:" + ",".join(["1"] * 15),
+      "--right", "S:" + ",".join(["1"] * 15)],
+     "268435456 term products in H", 5),
+    # the first step expands S_(1^19) into 262,144 H terms (about 5 s)
+    (["convert", "H:" + ",".join(["1"] * 19), "--to", "S"],
+     "terms in elimination to S (limit 500000)", 60),
+], ids=["convert", "right-pieri", "left-pieri", "oracle-product",
+        "convert-to-S"])
+def test_oversized_enumerations_refused_at_once(argv, counted, seconds):
+    # each ran for minutes or hours, or ran out of memory, before it was counted
+    proc = run_child(*argv, timeout=seconds)
+    assert proc.returncode == 3
+    assert counted in proc.stderr
 
 
 def test_verify_suite_pass(capsys):
@@ -227,13 +261,6 @@ def test_output_is_deterministic(capsys):
 
 
 def test_installed_entry_point():
-    # the child imports the package under test, installed or not
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "immaculate.cli", "coeff",
-         "-a", "2", "-b", "2,4", "-g", "3,1,4"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = run_child("coeff", "-a", "2", "-b", "2,4", "-g", "3,1,4")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"

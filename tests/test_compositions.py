@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -16,6 +17,7 @@ from immaculate.compositions import (
     right_pieri_successors,
     scale,
     sort_composition,
+    weak_compositions,
 )
 from immaculate.errors import (
     InvalidVectorError,
@@ -144,10 +146,36 @@ def test_permutations_small():
 
 
 def test_permutations_guard():
-    # the S_m size guard holds whatever the floors cut away
-    for floors in ((), (1,) * 11, (11,) * 11, (12,), (11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1)):
-        with pytest.raises(ResourceLimitError):
-            permutations(11, floors)
+    # refused on the number of survivors, before any is made: all of S_11,
+    # and the 933,120 permutations that survive the floors of (5^10)
+    for m, floors in ((11, ()), (11, (1,) * 11), (10, permutation_floors((5,) * 10))):
+        with pytest.raises(ResourceLimitError, match="surviving permutations"):
+            permutations(m, floors)
+    # floors that no permutation clears leave nothing to refuse
+    assert permutations(11, (11,) * 11) == permutations(11, (12,)) == ()
+    assert [p.images for p in permutations(11, tuple(range(11, 0, -1)))] == [
+        tuple(range(11, 0, -1))]
+    assert len(permutations(14, permutation_floors((1,) * 14))) == 8192
+    permutations.cache_clear()
+
+
+LIMIT = "immaculate.compositions.ENUMERATION_LIMIT"
+
+
+def test_permutations_refused_on_exact_survivor_count(monkeypatch):
+    # the count checked against the limit is the number enumerated
+    cases = [(len(alpha), permutation_floors(alpha))
+             for n in range(10) for alpha in compositions_of(n)]
+    counts = [len(permutations(m, floors)) for m, floors in cases]
+    for (m, floors), count in zip(cases, counts):
+        permutations.cache_clear()
+        monkeypatch.setattr(LIMIT, count - 1)
+        with pytest.raises(ResourceLimitError,
+                           match=f"refusing to enumerate {count} surviving"):
+            permutations(m, floors)
+        monkeypatch.setattr(LIMIT, count)
+        assert len(permutations(m, floors)) == count
+    permutations.cache_clear()
 
 
 def inversion_sign(images):
@@ -206,6 +234,49 @@ def test_permutation_rejects_non_bijection():
 def test_compositions_of_counts():
     for n in range(1, 8):
         assert sum(1 for _ in compositions_of(n)) == 2 ** (n - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def ordered_tuples(n, length, least):
+    """Tuples of ``length`` integers >= ``least`` summing to ``n``, built part
+    by part with the first part ascending: lexicographic order."""
+    if length == 0:
+        return [()] if n == 0 else []
+    return [(first,) + rest for first in range(least, n + 1)
+            for rest in ordered_tuples(n - first, length - 1, least)]
+
+
+def filtered_product(n, length, least):
+    return [t for t in itertools.product(range(least, n + 1), repeat=length)
+            if sum(t) == n]
+
+
+def test_part_by_part_reference_matches_filtered_product():
+    # the filtered product grows as (n + 1)^length, so only small n
+    for n in range(6):
+        for length in range(n + 3):
+            for least in (0, 1):
+                assert ordered_tuples(n, length, least) == \
+                    filtered_product(n, length, least), (n, length, least)
+    ordered_tuples.cache_clear()
+
+
+def test_generators_match_part_by_part_reference():
+    for n in range(11):
+        by_length = []
+        for length in range(n + 3):
+            want = ordered_tuples(n, length, 1)
+            assert list(compositions_of(n, length=length)) == want, (n, length)
+            assert list(weak_compositions(n, length)) == \
+                ordered_tuples(n, length, 0), (n, length)
+            by_length += want
+        assert list(compositions_of(n)) == by_length
+        assert list(compositions_of(n, max_length=2)) == [
+            c for c in by_length if len(c) <= 2]
+    assert list(compositions_of(0, length=1)) == []
+    assert list(weak_compositions(0, 3)) == [(0, 0, 0)]
+    assert list(compositions_of(-1, length=1)) == list(weak_compositions(-1, 1)) == []
+    ordered_tuples.cache_clear()
 
 
 def test_partitions_of_counts():

@@ -1,7 +1,8 @@
 import pytest
 
+from immaculate.compositions import compositions_of, grlex_key, partitions_of
 from immaculate.errors import PreconditionError
-from immaculate.linear import LinComb
+from immaculate.linear import BASES, LinComb
 
 
 def test_zero_terms_dropped():
@@ -38,6 +39,19 @@ def test_basis_mismatch():
 def test_items_graded_lex_order():
     f = LinComb("S", {(3,): 1, (1, 2): 2, (2,): -1, (1, 1, 1): 5})
     assert [idx for idx, _ in f.items()] == [(2,), (1, 1, 1), (1, 2), (3,)]
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_items_and_support_sorted_by_grlex_key(basis):
+    # every index of degree <= 6, inserted in reverse order, coefficients
+    # all different, so that only the sort decides the order
+    indices = [idx for n in range(7)
+               for idx in (partitions_of(n) if basis in "hs" else compositions_of(n))]
+    f = LinComb(basis, {idx: k + 1 for k, idx in enumerate(reversed(indices))})
+    want = sorted(f.terms, key=grlex_key)
+    assert f.support() == want
+    assert f.items() == [(idx, f.terms[idx]) for idx in want]
+    assert LinComb.zero(basis).items() == LinComb.zero(basis).support() == []
 
 
 def test_str_rendering():

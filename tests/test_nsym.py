@@ -3,6 +3,7 @@ import random
 import pytest
 
 from immaculate.compositions import compositions_of
+from immaculate.errors import ResourceLimitError
 from immaculate.linear import LinComb
 from immaculate.nsym import (
     H_to_immaculate,
@@ -65,6 +66,34 @@ def test_H_to_immaculate_example():
         "S", {(1, 2): 1, (2, 1): 1, (3,): 1}
     )
     assert H_to_immaculate(LinComb.zero("H")) == LinComb.zero("S")
+
+
+LIMIT = "immaculate.compositions.ENUMERATION_LIMIT"
+
+
+def test_products_counted_up_front(monkeypatch):
+    # one product per pair of terms, refused before any is made
+    h = lambda *p: LinComb.monomial("h", p)
+    f, g = H(1) + H(2), H(1) - H(3) + H(2, 2)
+    monkeypatch.setattr(LIMIT, 6)
+    assert len(h_multiply(f, g)) == 6
+    assert len(sym_multiply(h(1) + h(2), h(1) + h(3) + h(2, 2))) == 6
+    monkeypatch.setattr(LIMIT, 5)
+    with pytest.raises(ResourceLimitError, match="6 term products in H .limit 5"):
+        h_multiply(f, g)
+    with pytest.raises(ResourceLimitError, match="6 term products in h .limit 5"):
+        sym_multiply(h(1) + h(2), h(1) + h(3) + h(2, 2))
+
+
+def test_elimination_counts_visited_terms(monkeypatch):
+    # H_(1,1,1) -> S scans and applies 15 terms in all
+    want = LinComb("S", {(1, 1, 1): 1, (1, 2): 1, (2, 1): 2, (3,): 1})
+    monkeypatch.setattr(LIMIT, 15)
+    assert H_to_immaculate(H(1, 1, 1)) == want
+    monkeypatch.setattr(LIMIT, 14)
+    with pytest.raises(ResourceLimitError,
+                       match="15 terms in elimination to S .limit 14"):
+        H_to_immaculate(H(1, 1, 1))
 
 
 def test_round_trip_on_basis():

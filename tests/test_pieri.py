@@ -1,11 +1,12 @@
 import pytest
 
 from immaculate.compositions import compositions_of
-from immaculate.errors import PreconditionError
+from immaculate.errors import PreconditionError, ResourceLimitError
 from immaculate.linear import LinComb
 from immaculate.nsym import product_in_S_oracle
 from immaculate.pieri import (
     left_pieri,
+    left_pieri_coefficient,
     left_pieri_unit_coefficient,
     right_pieri,
     sgn,
@@ -105,6 +106,52 @@ def test_left_pieri_matches_oracle():
                 continue
             for s in range(1, 4):
                 assert left_pieri(s, beta) == product_in_S_oracle((s,), beta)
+
+
+def test_left_pieri_matches_single_coefficient_route():
+    # the expansion reads gamma off the compositions of |beta| + 1; the
+    # single-coefficient route reduces gamma_1 by s - 1 itself
+    for n in range(8):
+        for beta in compositions_of(n):
+            lengths = {len(beta), len(beta) + 1} - {0}
+            for s in range(1, 5):
+                f = left_pieri(s, beta)
+                assert {len(gamma) for gamma in f.terms} <= lengths
+                for length in lengths:
+                    for gamma in compositions_of(n + s, length=length):
+                        assert f.coefficient(gamma) == \
+                            left_pieri_coefficient(s, beta, gamma), (s, beta, gamma)
+
+
+LIMIT = "immaculate.compositions.ENUMERATION_LIMIT"
+
+
+def test_pieri_expansions_refused_up_front():
+    with pytest.raises(ResourceLimitError,
+                       match="8259888 right Pieri terms .limit 500000"):
+        right_pieri((1,) * 5, 60)
+    with pytest.raises(ResourceLimitError,
+                       match="8495410 left Pieri candidates .limit 500000"):
+        left_pieri(1, (30,) * 4)
+
+
+def test_largest_pieri_expansions_under_the_limit_are_answered():
+    assert len(right_pieri((1,) * 5, 30)) == 324632
+    assert len(left_pieri(1, (6,) * 5)) == 253
+
+
+def test_pieri_limits_count_exactly(monkeypatch):
+    # C(s + n, n) right terms and C(|beta| + 1, n) left candidates
+    monkeypatch.setattr(LIMIT, 10)
+    assert len(right_pieri((1, 1), 3)) == 10
+    monkeypatch.setattr(LIMIT, 9)
+    with pytest.raises(ResourceLimitError, match="10 right Pieri terms"):
+        right_pieri((1, 1), 3)
+    monkeypatch.setattr(LIMIT, 6)
+    assert len(left_pieri(2, (2, 1))) == 4
+    monkeypatch.setattr(LIMIT, 5)
+    with pytest.raises(ResourceLimitError, match="6 left Pieri candidates"):
+        left_pieri(2, (2, 1))
 
 
 def test_left_pieri_unit_case_multiplicity_free():
