@@ -39,10 +39,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-class UsageError(PreconditionError):
-    pass
-
-
 def parse_composition(text: str) -> tuple:
     """Comma-separated positive integers; '0', '' or '[]' denote the empty
     composition."""
@@ -52,11 +48,11 @@ def parse_composition(text: str) -> tuple:
     try:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse composition {text!r}")
+        raise PreconditionError(f"cannot parse composition {text!r}")
     try:
         return check_composition(parts)
     except PreconditionError:
-        raise UsageError(f"not a composition: {text!r}")
+        raise PreconditionError(f"not a composition: {text!r}")
 
 
 def parse_vector(text: str) -> tuple:
@@ -67,19 +63,19 @@ def parse_vector(text: str) -> tuple:
     try:
         entries = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse vector {text!r}")
+        raise PreconditionError(f"cannot parse vector {text!r}")
     if any(e < 0 for e in entries):
-        raise UsageError(f"negative entry in {text!r}")
+        raise PreconditionError(f"negative entry in {text!r}")
     return entries
 
 
 def parse_basis_index(text: str) -> tuple:
     """'S:2,4' or 'H:3' -> (basis, composition)."""
     if ":" not in text:
-        raise UsageError(f"expected BASIS:parts, got {text!r}")
+        raise PreconditionError(f"expected BASIS:parts, got {text!r}")
     basis, _, rest = text.partition(":")
     if basis not in ("H", "S"):
-        raise UsageError(f"basis must be H or S, got {basis!r}")
+        raise PreconditionError(f"basis must be H or S, got {basis!r}")
     return basis, parse_composition(rest)
 
 
@@ -101,15 +97,15 @@ def cmd_product(args) -> int:
     rbasis, right = parse_basis_index(args.right)
     if args.method == "tableau":
         if lbasis != "S" or rbasis != "S":
-            raise UsageError("the tableau method needs S factors on both sides")
+            raise PreconditionError("the tableau method needs S factors on both sides")
         result = signed_product(left, right)
     elif args.method == "closed-form":
         if lbasis != "H" and not (lbasis == "S" and len(left) <= 1):
-            raise UsageError(
+            raise PreconditionError(
                 "the closed form needs a single-part left factor (H_s or S_(s))"
             )
         if rbasis != "S":
-            raise UsageError("the closed form needs an S right factor")
+            raise PreconditionError("the closed form needs an S right factor")
         if not left:
             result = LinComb.monomial("S", right)
         else:
@@ -147,11 +143,11 @@ def cmd_coeff(args) -> int:
     gamma = parse_composition(args.gamma)
     if args.method == "tableau":
         if not is_partition(beta):
-            raise UsageError("the tableau method needs a partition beta")
+            raise PreconditionError("the tableau method needs a partition beta")
         value = count_immaculate_LR(alpha, beta, gamma)
     elif args.method == "closed-form":
         if len(alpha) != 1:
-            raise UsageError("the closed form needs a single-part alpha")
+            raise PreconditionError("the closed form needs a single-part alpha")
         value = left_pieri_coefficient(alpha[0], beta, gamma)
     else:
         value = structure_constant(alpha, beta, gamma)
@@ -203,7 +199,7 @@ def tableau_json_dict(t: SkewTableau, sigma=None):
 def cmd_tableaux(args) -> int:
     inner = parse_composition(args.inner)
     if (args.content is None) == (args.beta is None):
-        raise UsageError("exactly one of --content and --beta is required")
+        raise PreconditionError("exactly one of --content and --beta is required")
     shape = parse_composition(args.shape) if args.shape else None
     if args.beta is not None:
         beta = parse_composition(args.beta)
@@ -236,12 +232,8 @@ def cmd_tableaux(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        raise UsageError(
-            f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}"
-        )
     if args.max_size < 0:
-        raise UsageError(f"--max-size must be >= 0, got {args.max_size}")
+        raise PreconditionError(f"--max-size must be >= 0, got {args.max_size}")
     witness = SUITES[args.suite](args.max_size)
     if witness is not None:
         print(f"suite {args.suite}: FAIL: {witness}")
@@ -320,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tableaux)
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
-    p.add_argument("--suite", required=True)
+    p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--max-size", type=int, default=DEFAULT_MAX_DEGREE)
     p.set_defaults(func=cmd_verify)
 
@@ -335,9 +327,6 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

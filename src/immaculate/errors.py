@@ -14,4 +14,4 @@ class InvalidVectorError(PreconditionError):
 
 
 class ResourceLimitError(ImmaculateError):
-    """A computation would exceed the configured enumeration bounds."""
+    """A computation would visit more items than ENUMERATION_LIMIT allows."""

@@ -70,7 +70,8 @@ def lr_coefficient_tableau(mu, nu, lam) -> int:
     """Count of skew semistandard Yamanouchi tableaux of shape lam/mu and
     content nu; an enumeration route independent of the algebra.  A
     semistandard tableau of shape lam/mu is immaculate, so the count runs
-    over the immaculate family, under the enumerator's node budget."""
+    over the immaculate family, whose partial tableaux count against
+    ENUMERATION_LIMIT."""
     mu = check_partition(mu)
     nu = check_partition(nu)
     lam = check_partition(lam)
@@ -87,16 +88,22 @@ def pieri_sym(mu, n: int) -> LinComb:
     return _built("s", {nu: 1 for nu in horizontal_strip_successors(mu, n)})
 
 
+def _saturation_check(coefficient, a, b, c, N: int) -> bool:
+    """True iff ``coefficient(a, b, c)`` is nonzero exactly when its value at
+    the N-scaled triple is."""
+    if N < 1:
+        raise PreconditionError(f"N must be >= 1, got {N}")
+    if sum(c) != sum(a) + sum(b):
+        raise PreconditionError(f"sizes incompatible: {sum(c)} != {sum(a)} + {sum(b)}")
+    base = coefficient(tuple(a), tuple(b), tuple(c))
+    scaled = coefficient(scale(a, N), scale(b, N), scale(c, N))
+    return (base != 0) == (scaled != 0)
+
+
 def saturation_check_sym(mu, nu, lam, N: int) -> bool:
     """True iff nonvanishing of the Schur structure constant is equivalent to
     nonvanishing at the N-scaled triple."""
-    if N < 1:
-        raise PreconditionError(f"N must be >= 1, got {N}")
-    if sum(lam) != sum(mu) + sum(nu):
-        raise PreconditionError("sizes incompatible: |lam| != |mu| + |nu|")
-    base = lr_coefficient_algebra(mu, nu, lam)
-    scaled = lr_coefficient_algebra(scale(mu, N), scale(nu, N), scale(lam, N))
-    return (base != 0) == (scaled != 0)
+    return _saturation_check(lr_coefficient_algebra, mu, nu, lam, N)
 
 
 def _nsym_coefficient(alpha, beta, gamma) -> int:
@@ -108,10 +115,4 @@ def _nsym_coefficient(alpha, beta, gamma) -> int:
 def saturation_check_nsym(alpha, beta, gamma, N: int) -> bool:
     """The analogous check for immaculate structure constants; false on the
     known counterexample."""
-    if N < 1:
-        raise PreconditionError(f"N must be >= 1, got {N}")
-    if sum(gamma) != sum(alpha) + sum(beta):
-        raise PreconditionError("sizes incompatible: |gamma| != |alpha| + |beta|")
-    base = _nsym_coefficient(tuple(alpha), tuple(beta), tuple(gamma))
-    scaled = _nsym_coefficient(scale(alpha, N), scale(beta, N), scale(gamma, N))
-    return (base != 0) == (scaled != 0)
+    return _saturation_check(_nsym_coefficient, alpha, beta, gamma, N)

@@ -16,15 +16,13 @@ from .compositions import (
     Permutation,
     _permutation,
     check_composition,
+    check_enumeration,
     check_partition,
     right_pieri_successors,
     shifted_entries,
 )
-from .errors import InvalidVectorError, PreconditionError, ResourceLimitError
+from .errors import InvalidVectorError, PreconditionError
 from .linear import LinComb, _built
-
-# Node budget for backtracking enumerations.
-DEFAULT_SEARCH_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -151,7 +149,9 @@ def enumerate_skew_immaculate(inner, content_vec, shape=None):
     with a strictly larger letter, so that row starts with the smallest
     remaining letter and takes all of its copies.  With ``shape`` given, a
     row's count vector is cut off as soon as the letters still allowed
-    cannot fill it.  Every visited node counts against DEFAULT_SEARCH_LIMIT.
+    cannot fill it.  The partial tableaux visited so far are counted
+    against ENUMERATION_LIMIT as the enumeration goes; every row choice
+    makes one, so the row search takes at most m + 1 steps per count.
     """
     inner = check_composition(inner)
     content_vec = tuple(content_vec)
@@ -167,13 +167,8 @@ def enumerate_skew_immaculate(inner, content_vec, shape=None):
         if sum(shape) - sum(inner) != sum(content_vec):
             return []
 
-    budget = [DEFAULT_SEARCH_LIMIT]
     results = []
-
-    def visit():
-        if budget[0] <= 0:
-            raise ResourceLimitError("tableau enumeration budget exhausted")
-        budget[0] -= 1
+    visited = 0
 
     def row_choices(remaining, lead, size):
         """Count vectors (k_1..k_m) with k_j <= remaining_j, optionally of
@@ -190,7 +185,6 @@ def enumerate_skew_immaculate(inner, content_vec, shape=None):
             tail[j] = tail[j + 1] + remaining[j]
 
         def rec(j, left):
-            visit()
             if j == m:
                 row = tuple(
                     val for val in range(1, m + 1) for _ in range(counts[val - 1])
@@ -211,7 +205,9 @@ def enumerate_skew_immaculate(inner, content_vec, shape=None):
             yield from rec(start, left)
 
     def extend(r, remaining, rows):
-        visit()
+        nonlocal visited
+        visited += 1
+        check_enumeration("partial tableaux", visited)
         if shape is not None:
             if r > len(shape):
                 if all(c == 0 for c in remaining):

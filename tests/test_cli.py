@@ -174,6 +174,13 @@ def test_resource_limit_exit_3(capsys):
     assert "933120 surviving permutations of S_10 (limit 500000)" in err
 
 
+def test_tableau_enumeration_limit_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr("immaculate.compositions.ENUMERATION_LIMIT", 10)
+    code, out, err = run(capsys, "tableaux", "--content", "1,1,1,1")
+    assert (code, out) == (3, "")
+    assert "partial tableaux (limit 10)" in err
+
+
 @pytest.mark.parametrize("argv,counted,seconds", [
     (["convert", "S:" + ",".join(["5"] * 10), "--to", "H"],
      "933120 surviving permutations", 5),
@@ -205,6 +212,7 @@ def test_verify_suite_pass(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == 2
+    assert "roundtrip" in err
 
 
 def test_verify_saturation_counterexample_witness(capsys):

@@ -1,6 +1,5 @@
 import pytest
 
-from immaculate import tableaux
 from immaculate.compositions import partitions_of, scale
 from immaculate.errors import PreconditionError, ResourceLimitError
 from immaculate.linear import LinComb
@@ -54,10 +53,16 @@ def test_lr_routes_agree():
                             lr_coefficient_tableau(mu, nu, lam)
 
 
+LIMIT = "immaculate.compositions.ENUMERATION_LIMIT"
+
+
 def test_lr_coefficient_tableau_has_a_node_budget(monkeypatch):
     mu, nu, lam = (2, 1), (2, 1), (3, 2, 1)
     assert lr_coefficient_tableau(mu, nu, lam) == 2
-    monkeypatch.setattr(tableaux, "DEFAULT_SEARCH_LIMIT", 10)
+    # the enumeration visits 9 partial tableaux
+    monkeypatch.setattr(LIMIT, 9)
+    assert lr_coefficient_tableau(mu, nu, lam) == 2
+    monkeypatch.setattr(LIMIT, 8)
     with pytest.raises(ResourceLimitError):
         lr_coefficient_tableau(mu, nu, lam)
 

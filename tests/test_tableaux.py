@@ -1,6 +1,5 @@
 import pytest
 
-from immaculate import tableaux
 from immaculate.compositions import Permutation, compositions_of
 from immaculate.errors import (
     InvalidVectorError,
@@ -23,6 +22,8 @@ from immaculate.tableaux import (
     signed_product_via_tableaux,
     sigma_of,
 )
+
+LIMIT = "immaculate.compositions.ENUMERATION_LIMIT"
 
 # A recurring example: inner shape (1), rows filled so that the outer shape
 # is (2,3,2,2) and the first column reads 1,2,3.
@@ -112,9 +113,19 @@ def test_enumerate_empty_content():
 
 
 def test_enumerate_budget(monkeypatch):
-    monkeypatch.setattr(tableaux, "DEFAULT_SEARCH_LIMIT", 50)
+    monkeypatch.setattr(LIMIT, 50)
     with pytest.raises(ResourceLimitError):
         enumerate_skew_immaculate((), (4, 4, 4, 4))
+
+
+def test_enumeration_counts_partial_tableaux(monkeypatch):
+    # inner (1), content (1,1,1): 15 tableaux, 30 partial tableaux visited
+    monkeypatch.setattr(LIMIT, 30)
+    assert len(enumerate_skew_immaculate((1,), (1, 1, 1))) == 15
+    monkeypatch.setattr(LIMIT, 29)
+    with pytest.raises(ResourceLimitError,
+                       match="30 partial tableaux .limit 29"):
+        enumerate_skew_immaculate((1,), (1, 1, 1))
 
 
 def test_sigma_of():
