@@ -28,8 +28,6 @@ from .tableaux import (
     count_immaculate_LR,
     enumerate_T_alpha_beta,
     enumerate_skew_immaculate,
-    is_semistandard,
-    is_yamanouchi,
     signed_product,
 )
 
@@ -100,7 +98,7 @@ def cmd_product(args) -> int:
             raise PreconditionError("the tableau method needs S factors on both sides")
         result = signed_product(left, right)
     elif args.method == "closed-form":
-        if lbasis != "H" and not (lbasis == "S" and len(left) <= 1):
+        if len(left) > 1:
             raise PreconditionError(
                 "the closed form needs a single-part left factor (H_s or S_(s))"
             )
@@ -201,21 +199,14 @@ def cmd_tableaux(args) -> int:
     if (args.content is None) == (args.beta is None):
         raise PreconditionError("exactly one of --content and --beta is required")
     shape = parse_composition(args.shape) if args.shape else None
+    keep = {"yamanouchi": args.yamanouchi, "semistandard": args.semistandard}
     if args.beta is not None:
         beta = parse_composition(args.beta)
-        pairs = enumerate_T_alpha_beta(inner, beta, shape=shape)
+        selected = enumerate_T_alpha_beta(inner, beta, shape=shape, **keep)
     else:
         content_vec = parse_vector(args.content)
-        found = enumerate_skew_immaculate(inner, content_vec, shape=shape)
-        pairs = [(t, None) for t in found]
-
-    selected = []
-    for t, sigma in pairs:
-        if args.yamanouchi and not is_yamanouchi(t):
-            continue
-        if args.semistandard and not is_semistandard(t):
-            continue
-        selected.append((t, sigma))
+        found = enumerate_skew_immaculate(inner, content_vec, shape=shape, **keep)
+        selected = [(t, None) for t in found]
 
     if args.format == "json":
         print(json.dumps([tableau_json_dict(t, s) for t, s in selected]))

@@ -18,12 +18,7 @@ from .compositions import (
 from .errors import PreconditionError
 from .linear import LinComb, _built, triangular_inverse
 from .nsym import structure_constant, sym_multiply
-from .tableaux import (
-    count_immaculate_LR,
-    enumerate_skew_immaculate,
-    is_semistandard,
-    is_yamanouchi,
-)
+from .tableaux import count_immaculate_LR, enumerate_skew_immaculate
 
 
 @lru_cache(maxsize=None)
@@ -69,17 +64,13 @@ def lr_coefficient_algebra(mu, nu, lam) -> int:
 def lr_coefficient_tableau(mu, nu, lam) -> int:
     """Count of skew semistandard Yamanouchi tableaux of shape lam/mu and
     content nu; an enumeration route independent of the algebra.  A
-    semistandard tableau of shape lam/mu is immaculate, so the count runs
-    over the immaculate family, whose partial tableaux count against
-    ENUMERATION_LIMIT."""
-    mu = check_partition(mu)
-    nu = check_partition(nu)
-    lam = check_partition(lam)
-    return sum(
-        1
-        for t in enumerate_skew_immaculate(mu, nu, shape=lam)
-        if is_semistandard(t) and is_yamanouchi(t)
-    )
+    semistandard tableau of shape lam/mu is immaculate, so the immaculate
+    enumerator counts them, pruning as it goes, and its partial tableaux
+    count against ENUMERATION_LIMIT."""
+    mu, nu, lam = map(check_partition, (mu, nu, lam))
+    return len(enumerate_skew_immaculate(
+        mu, nu, shape=lam, yamanouchi=True, semistandard=True
+    ))
 
 
 def pieri_sym(mu, n: int) -> LinComb:

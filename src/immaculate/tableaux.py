@@ -9,8 +9,10 @@ involution machinery).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import lt, sub
 
 from .compositions import (
     Permutation,
@@ -137,8 +139,11 @@ def is_yamanouchi(t: SkewTableau) -> bool:
     return True
 
 
-def enumerate_skew_immaculate(inner, content_vec, shape=None):
-    """All immaculate skew tableaux with the given inner shape and exact content.
+def enumerate_skew_immaculate(
+    inner, content_vec, shape=None, *, yamanouchi=False, semistandard=False
+):
+    """All immaculate skew tableaux with the given inner shape and exact
+    content; only the Yamanouchi or semistandard ones when asked.
 
     A row of an immaculate tableau is determined by its multiset of entries,
     so rows are chosen as sub-multisets of the remaining content, constrained
@@ -147,62 +152,69 @@ def enumerate_skew_immaculate(inner, content_vec, shape=None):
 
     A row below the inner shape starts column 1, and every later row starts
     with a strictly larger letter, so that row starts with the smallest
-    remaining letter and takes all of its copies.  With ``shape`` given, a
-    row's count vector is cut off as soon as the letters still allowed
-    cannot fill it.  The partial tableaux visited so far are counted
-    against ENUMERATION_LIMIT as the enumeration goes; every row choice
-    makes one, so the row search takes at most m + 1 steps per count.
+    remaining letter and takes all of its copies.  Read right to left, a
+    Yamanouchi row gives its j+1's before its j's, so it holds at most
+    used_j - used_(j+1) copies of j + 1 (``used``: the content above it); a
+    semistandard row holds no more entries <= v than the position of its
+    first cell under a letter >= v.  With ``shape`` given, a row's count
+    vector is cut off as soon as the letters still allowed cannot fill it,
+    so no row that fails is chosen.  The partial tableaux visited so far are
+    counted against ENUMERATION_LIMIT as the enumeration goes; every row
+    choice makes one, so the row search takes at most m + 1 steps per count.
     """
     inner = check_composition(inner)
     content_vec = tuple(content_vec)
     if any(c < 0 for c in content_vec):
         raise InvalidVectorError(f"negative content entry in {content_vec!r}")
     m = len(content_vec)
+    total = sum(content_vec)
     if shape is not None:
         shape = check_composition(shape)
-        if len(shape) < len(inner) or any(
-            shape[i] < inner[i] for i in range(len(inner))
+        if len(shape) < len(inner) or sum(shape) - sum(inner) != total or any(
+            map(lt, shape, inner)
         ):
-            return []
-        if sum(shape) - sum(inner) != sum(content_vec):
             return []
 
     results = []
     visited = 0
+    # pad[r]: inner cells of row r; each row below the inner shape uses up a letter
+    pad = (0,) + inner + (0,) * (m + 1)
 
-    def row_choices(remaining, lead, size):
-        """Count vectors (k_1..k_m) with k_j <= remaining_j, optionally of
-        fixed total ``size``; yields (counts, row).  With ``lead`` given, the
-        row takes every copy of letter ``lead + 1`` and no smaller letter."""
+    def row_choices(caps, most, lead, size):
+        """Count vectors with k_j <= caps_j and k_1 + .. + k_j <= most_j,
+        optionally of fixed total ``size``; yields (counts, row).  With ``lead``
+        given, the row takes every copy of letter ``lead + 1`` and no smaller."""
         counts = [0] * m
-        start = 0
+        start = placed = 0
         if lead is not None:
-            counts[lead] = remaining[lead]
+            counts[lead] = placed = caps[lead]
             start = lead + 1
         # tail[j]: letters still allowed at positions j..m-1
         tail = [0] * (m + 1)
         for j in range(m - 1, start - 1, -1):
-            tail[j] = tail[j + 1] + remaining[j]
+            tail[j] = tail[j + 1] + caps[j]
 
-        def rec(j, left):
+        def rec(j, placed):
             if j == m:
                 row = tuple(
                     val for val in range(1, m + 1) for _ in range(counts[val - 1])
                 )
                 yield tuple(counts), row
                 return
-            if size is None:
-                low, top = 0, remaining[j]
-            else:
-                low, top = max(0, left - tail[j + 1]), min(remaining[j], left)
+            low, top = 0, min(caps[j], most[j] - placed)
+            if size is not None:
+                low = max(0, size - placed - tail[j + 1])
+                top = min(top, size - placed)
             for k in range(low, top + 1):
                 counts[j] = k
-                yield from rec(j + 1, left - k)
+                yield from rec(j + 1, placed + k)
             counts[j] = 0
 
-        left = tail[start] if size is None else size - sum(counts)
-        if 0 <= left <= tail[start]:
-            yield from rec(start, left)
+        # if the row can be filled at all, every step has a choice
+        if size is None or placed <= size <= placed + tail[start] and all(
+            size - tail[j + 1] <= most[j] for j in range(start, m)
+        ):
+            yield from rec(start, placed)
 
     def extend(r, remaining, rows):
         nonlocal visited
@@ -213,19 +225,29 @@ def enumerate_skew_immaculate(inner, content_vec, shape=None):
                 if all(c == 0 for c in remaining):
                     results.append(_tableau(inner, tuple(rows)))
                 return
-            size = shape[r - 1] - (inner[r - 1] if r <= len(inner) else 0)
+            size = shape[r - 1] - pad[r]
         else:
             if r > len(inner) and all(c == 0 for c in remaining):
                 results.append(_tableau(inner, tuple(rows)))
                 return
             size = None
+        caps, most = remaining, (total,) * m
+        if yamanouchi:
+            used = tuple(map(sub, content_vec, remaining))
+            caps = tuple(map(min, caps, (total, *map(sub, used, used[1:]))))
+        if semistandard and r > 1:
+            above, off = rows[-1], pad[r] - pad[r - 1]
+            firsts = (max(off, bisect_left(above, v)) for v in range(1, m + 1))
+            most = [q - off if q < len(above) else total for q in firsts]
+            caps = tuple(map(min, caps, most))
         # a row starting column 1 starts with the smallest remaining letter
         lead = None
         if r > len(inner):
             lead = next(j for j, c in enumerate(remaining) if c)
-        for counts, row in row_choices(remaining, lead, size):
-            new_remaining = tuple(a - b for a, b in zip(remaining, counts))
-            extend(r + 1, new_remaining, rows + [row])
+            if caps[lead] < remaining[lead]:
+                return
+        for counts, row in row_choices(caps, most, lead, size):
+            extend(r + 1, tuple(map(sub, remaining, counts)), rows + [row])
 
     extend(1, content_vec, [])
     return results
@@ -235,15 +257,7 @@ def count_immaculate_LR(alpha, lam, gamma) -> int:
     """Number of skew immaculate Yamanouchi tableaux of shape gamma/alpha and
     content lam (a partition)."""
     lam = check_partition(lam)
-    alpha = check_composition(alpha)
-    gamma = check_composition(gamma)
-    if sum(gamma) != sum(alpha) + sum(lam):
-        return 0
-    return sum(
-        1
-        for t in enumerate_skew_immaculate(alpha, lam, shape=gamma)
-        if is_yamanouchi(t)
-    )
+    return len(enumerate_skew_immaculate(alpha, lam, shape=gamma, yamanouchi=True))
 
 
 def sigma_of(t: SkewTableau, beta) -> Permutation | None:
@@ -264,15 +278,19 @@ def _sigma_of(t: SkewTableau, beta: tuple) -> Permutation | None:
     return _permutation(images)
 
 
-def enumerate_T_alpha_beta(alpha, beta, shape=None):
+def enumerate_T_alpha_beta(
+    alpha, beta, shape=None, *, yamanouchi=False, semistandard=False
+):
     """All (T, sigma(T)) with T immaculate of inner shape alpha, entries in
     {1..len(beta)}, and c(T) - beta + Id a permutation; only outer shape
-    ``shape`` when given."""
+    ``shape``, and only Yamanouchi or semistandard T, when asked."""
     alpha = check_composition(alpha)
     beta = check_composition(beta)
     out = []
     for sigma, c in shifted_entries(beta):
-        for t in enumerate_skew_immaculate(alpha, c, shape=shape):
+        for t in enumerate_skew_immaculate(
+            alpha, c, shape=shape, yamanouchi=yamanouchi, semistandard=semistandard
+        ):
             out.append((t, sigma))
     return out
 

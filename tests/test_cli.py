@@ -8,6 +8,7 @@ import pytest
 
 from immaculate import cli
 from immaculate.cli import main, parse_basis_index, parse_composition
+from immaculate.tableaux import SkewTableau, is_semistandard, is_yamanouchi
 
 
 def run(capsys, *argv):
@@ -135,6 +136,30 @@ def test_tableaux_beta_mode_reports_sigma(capsys):
             [[1], [1, 1, 3], [2, 2], [3, 3]]] == [[1, 3, 2]]
 
 
+@pytest.mark.parametrize("mode", [
+    ["--inner", "1", "--content", "2,2,1"],
+    ["--inner", "1", "--beta", "2,1,2"],
+], ids=["content", "beta"])
+def test_tableaux_filters_match_predicates(capsys, mode):
+    # each flag keeps exactly the unflagged tableaux its predicate accepts
+    code, out, _ = run(capsys, "tableaux", *mode, "--format", "json")
+    assert code == 0
+    everything = json.loads(out)
+    for flags, keep in [
+        (["--yamanouchi"], [is_yamanouchi]),
+        (["--semistandard"], [is_semistandard]),
+        (["--yamanouchi", "--semistandard"], [is_yamanouchi, is_semistandard]),
+    ]:
+        code, out, _ = run(capsys, "tableaux", *mode, *flags, "--format", "json")
+        assert code == 0
+        want = [
+            entry for entry in everything
+            if all(p(SkewTableau(entry["inner"], entry["rows"])) for p in keep)
+        ]
+        assert 0 < len(want) < len(everything)
+        assert json.loads(out) == want, flags
+
+
 def test_tableaux_needs_exactly_one_mode(capsys):
     code, _, err = run(capsys, "tableaux", "--inner", "1")
     assert code == 2
@@ -161,6 +186,11 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "coeff", "-a", "1,2", "-b", "1", "-g", "1",
                        "--method", "closed-form")
     assert code == 2
+    # H_(2,1) is no single-part factor: the closed form would drop its tail
+    code, out, err = run(capsys, "product", "--left", "H:2,1", "--right", "S:1",
+                         "--method", "closed-form")
+    assert (code, out) == (2, "")
+    assert "single-part left factor" in err
 
 
 def test_resource_limit_exit_3(capsys):

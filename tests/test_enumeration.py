@@ -1,10 +1,13 @@
 """The pruned tableau enumerator against a naive reference.
 
 ``enumerate_skew_immaculate`` forces the first letter of every row below the
-inner shape and cuts a fixed-size row off as soon as it cannot be filled.
-The reference here is the unpruned search: every row is any sub-multiset of
-the remaining content, and first-column strictness is tested afterwards.
-Both must give the same tableaux in the same order.
+inner shape, cuts a fixed-size row off as soon as it cannot be filled, and
+with its ``yamanouchi`` and ``semistandard`` flags caps the letters of a row
+so that no failing row is chosen.  The reference here is the unpruned search:
+every row is any sub-multiset of the remaining content, first-column
+strictness is tested afterwards, and the flags become filters by
+``is_yamanouchi`` and ``is_semistandard``.  Both must give the same tableaux
+in the same order.
 """
 
 import itertools
@@ -12,7 +15,14 @@ import itertools
 import pytest
 
 from immaculate.compositions import compositions_of
-from immaculate.tableaux import SkewTableau, enumerate_skew_immaculate
+from immaculate.tableaux import (
+    SkewTableau,
+    enumerate_skew_immaculate,
+    is_semistandard,
+    is_yamanouchi,
+)
+
+FLAGS = [(False, False), (True, False), (False, True), (True, True)]
 
 
 def naive_enumerate(inner, content_vec, shape=None):
@@ -74,9 +84,17 @@ def cases():
 def test_pruned_enumerator_matches_naive_order():
     n = 0
     for inner, content_vec, shape in cases():
-        got = enumerate_skew_immaculate(inner, content_vec, shape=shape)
-        assert got == naive_enumerate(inner, content_vec, shape), (
-            inner, content_vec, shape)
+        naive = naive_enumerate(inner, content_vec, shape)
+        for yamanouchi, semistandard in FLAGS:
+            got = enumerate_skew_immaculate(
+                inner, content_vec, shape=shape,
+                yamanouchi=yamanouchi, semistandard=semistandard,
+            )
+            assert got == [
+                t for t in naive
+                if (not yamanouchi or is_yamanouchi(t))
+                and (not semistandard or is_semistandard(t))
+            ], (inner, content_vec, shape, yamanouchi, semistandard)
         n += 1
     assert n == 8922
 

@@ -59,10 +59,10 @@ LIMIT = "immaculate.compositions.ENUMERATION_LIMIT"
 def test_lr_coefficient_tableau_has_a_node_budget(monkeypatch):
     mu, nu, lam = (2, 1), (2, 1), (3, 2, 1)
     assert lr_coefficient_tableau(mu, nu, lam) == 2
-    # the enumeration visits 9 partial tableaux
-    monkeypatch.setattr(LIMIT, 9)
+    # the pruned enumeration visits 6 partial tableaux
+    monkeypatch.setattr(LIMIT, 6)
     assert lr_coefficient_tableau(mu, nu, lam) == 2
-    monkeypatch.setattr(LIMIT, 8)
+    monkeypatch.setattr(LIMIT, 5)
     with pytest.raises(ResourceLimitError):
         lr_coefficient_tableau(mu, nu, lam)
 

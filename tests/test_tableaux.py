@@ -1,6 +1,8 @@
+from math import comb
+
 import pytest
 
-from immaculate.compositions import Permutation, compositions_of
+from immaculate.compositions import Permutation, compositions_of, scale
 from immaculate.errors import (
     InvalidVectorError,
     PreconditionError,
@@ -180,3 +182,23 @@ def test_count_immaculate_LR():
     assert count_immaculate_LR((1,), (2, 1), (1, 1, 2)) == 0
     assert count_immaculate_LR((), (3,), (3,)) == 1
     assert count_immaculate_LR((1,), (1,), (3,)) == 0  # size mismatch
+
+
+def test_count_immaculate_LR_has_a_node_budget(monkeypatch):
+    # the paper's saturation counterexample
+    alpha, lam, gamma = (1, 1), (3, 2, 2), (3, 3, 1, 1, 1)
+    assert count_immaculate_LR(alpha, lam, gamma) == 0
+    # the Yamanouchi-pruned enumeration visits 6 partial tableaux
+    monkeypatch.setattr(LIMIT, 6)
+    assert count_immaculate_LR(alpha, lam, gamma) == 0
+    monkeypatch.setattr(LIMIT, 5)
+    with pytest.raises(ResourceLimitError):
+        count_immaculate_LR(alpha, lam, gamma)
+
+
+def test_stretched_counterexample_counts_pairs():
+    # C^{N gamma}_{N alpha, N lam} = N choose 2 for the counterexample triple
+    alpha, lam, gamma = (1, 1), (3, 2, 2), (3, 3, 1, 1, 1)
+    for n in range(1, 31):
+        got = count_immaculate_LR(scale(alpha, n), scale(lam, n), scale(gamma, n))
+        assert got == comb(n, 2), n
