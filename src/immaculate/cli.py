@@ -79,7 +79,7 @@ def parse_basis_index(text: str) -> tuple:
 
 def emit_combination(f: LinComb, fmt: str):
     if fmt == "json":
-        print(json.dumps(f.to_json_dict()))
+        print(f.to_json())
     else:
         print(str(f))
 

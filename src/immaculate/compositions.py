@@ -32,7 +32,8 @@ def check_enumeration(what: str, count: int):
 
 def check_composition(alpha) -> tuple:
     alpha = tuple(alpha)
-    if not all(isinstance(a, int) and a >= 1 for a in alpha):
+    # type(a) is int: a bool is an int too, but no part of a composition
+    if not all(type(a) is int and a >= 1 for a in alpha):
         raise PreconditionError(f"not a composition: {alpha!r}")
     return alpha
 
@@ -80,30 +81,32 @@ def grlex_key(alpha):
     return (sum(alpha), alpha)
 
 
-def right_pieri_successors(alpha, s: int) -> set:
-    """All beta covering ``alpha`` by adding ``s`` cells on the right.
+def right_pieri_successors(alpha, s: int) -> list:
+    """All beta covering ``alpha`` by adding ``s`` cells on the right, in
+    lexicographic order (all have degree |alpha| + s, so this is graded-lex).
 
     beta must satisfy |beta| = |alpha| + s, beta_j >= alpha_j for
-    j <= len(alpha), and len(beta) <= len(alpha) + 1.
+    j <= len(alpha), and len(beta) <= len(alpha) + 1.  beta is alpha + (0,)
+    plus a weak composition of s, with a last entry 0 dropped; distinct
+    weak compositions give distinct beta, in their own (lexicographic) order.
     """
     if s < 1:
         raise PreconditionError(f"s must be >= 1, got {s}")
     check_enumeration("right Pieri terms", comb(s + len(alpha), len(alpha)))
-    out = set()
-    for extra in weak_compositions(s, len(alpha) + 1):
-        beta = tuple(a + e for a, e in zip(alpha, extra))
-        if extra[-1] > 0:
-            beta += (extra[-1],)
-        out.add(beta)
-    return out
+    padded = tuple(alpha) + (0,)
+    out = [tuple(map(add, padded, extra))
+           for extra in weak_compositions(s, len(padded))]
+    return [beta if beta[-1] else beta[:-1] for beta in out]
 
 
 def is_right_pieri_successor(alpha, s: int, beta) -> bool:
-    """Re-check the three defining conditions of the right cover relation."""
+    """Re-check the defining conditions of the right cover relation: beta is
+    a composition of |alpha| + s with len(alpha) or len(alpha) + 1 parts,
+    each of the first len(alpha) at least the part of alpha below it."""
     return (
         sum(beta) == sum(alpha) + s
-        and len(beta) <= len(alpha) + 1
-        and len(beta) >= len(alpha)
+        and len(alpha) <= len(beta) <= len(alpha) + 1
+        and all(b >= 1 for b in beta)
         and all(beta[j] >= alpha[j] for j in range(len(alpha)))
     )
 

@@ -95,29 +95,31 @@ class LinComb:
         return len(self.terms)
 
     def __str__(self):
+        """``S[1,2] - 2*S[3]``: terms in graded-lex order, unit coefficients
+        left out.  Each term is written as ``+ S[1, 2]`` or ``- 2*S[3]`` in
+        one pass; the comma spaces and the leading sign are fixed after."""
         if not self.terms:
             return "0"
-        pieces = []
-        for idx, c in self.items():
-            body = f"{self.basis}[{','.join(map(str, idx))}]"
-            mag = abs(c)
-            term = body if mag == 1 else f"{mag}*{body}"
-            if not pieces:
-                pieces.append(term if c > 0 else f"-{term}")
-            else:
-                pieces.append(f"{'+' if c > 0 else '-'} {term}")
-        return " ".join(pieces)
+        basis = self.basis
+        text = " ".join([
+            f"{'+' if c > 0 else '-'} {'' if c in (1, -1) else f'{abs(c)}*'}"
+            f"{basis}{list(idx)}"
+            for idx, c in self.items()
+        ]).replace(", ", ",")
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self):
         return f"LinComb({self.basis!r}, {dict(self.items())!r})"
 
-    def to_json_dict(self):
-        return {
-            "basis": self.basis,
-            "terms": [
-                {"coefficient": c, "index": list(idx)} for idx, c in self.items()
-            ],
-        }
+    def to_json(self) -> str:
+        """The JSON text ``{"basis": ..., "terms": [{"coefficient": c,
+        "index": [...]}, ...]}``, terms in graded-lex order, written in one
+        pass; byte-identical to ``json.dumps`` of that object."""
+        support = self.support()
+        terms = ", ".join(map('{"coefficient": %d, "index": %s}'.__mod__,
+                              zip(map(self.terms.__getitem__, support),
+                                  map(list, support))))
+        return '{"basis": "%s", "terms": [%s]}' % (self.basis, terms)
 
     @classmethod
     def from_json_dict(cls, data):

@@ -23,7 +23,7 @@ from .linear import LinComb, _built
 def right_pieri(alpha, s: int) -> LinComb:
     """S_alpha * H_s: multiplicity-free sum over the right cover relation."""
     alpha = check_composition(alpha)
-    return _built("S", {beta: 1 for beta in right_pieri_successors(alpha, s)})
+    return _built("S", dict.fromkeys(right_pieri_successors(alpha, s), 1))
 
 
 def translation_reduce(alpha, beta, gamma, v):

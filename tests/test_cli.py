@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -296,6 +297,34 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, "product", "--left", "H:2,1", "--right", "S:1,2")
     second = run(capsys, "product", "--left", "H:2,1", "--right", "S:1,2")
     assert first == second
+
+
+# sha256 of stdout, so that a change to how output is written cannot
+# change a byte of it unnoticed
+PINNED_OUTPUT = [
+    pytest.param("right-pieri --alpha 1,1,1,1,1 --s 20 --format json",
+                 "f525c22e10da923887fb5160701966f133c27ed5695d08cfe128ecdbc56dcf1c",
+                 id="right-pieri-1^5-20-json"),
+    pytest.param("right-pieri --alpha 1,1,1,1,1 --s 20 --format text",
+                 "5740eab2951f38b5300b4fcd83b0766470e2340fe847ee52e14dffbdb2280e80",
+                 id="right-pieri-1^5-20-text"),
+    pytest.param("right-pieri --alpha 3,1,2 --s 7 --format json",
+                 "7c9b857e0d654ddf20566335e910745249c290608ab05b1c80bdfec25cbd793f",
+                 id="right-pieri-312-7-json"),
+    pytest.param("left-pieri --s 2 --beta 3,1,4 --format json",
+                 "517132f949a97442f732e4277cfcda39f8204a86e019b991f705d59c79de4f5e",
+                 id="left-pieri-2-314-json"),
+    pytest.param("product --left S:2 --right S:2,4 --method closed-form --format json",
+                 "672def8027ea4c156081b92d50f88907a342e7a8e100cc8f056f3120899e0638",
+                 id="product-closed-form-json"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUT)
+def test_output_bytes_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_installed_entry_point():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,9 +90,9 @@ def test_add_prefix_preserves_length_and_size(alpha, v):
 
 
 @pytest.mark.parametrize("alpha,s,expected", [
-    ((2,), 2, {(4,), (3, 1), (2, 2)}),
-    ((), 3, {(3,)}),
-    ((1, 2), 1, {(2, 2), (1, 3), (1, 2, 1)}),
+    ((2,), 2, [(2, 2), (3, 1), (4,)]),
+    ((), 3, [(3,)]),
+    ((1, 2), 1, [(1, 2, 1), (1, 3), (2, 2)]),
 ])
 def test_right_pieri_successors(alpha, s, expected):
     assert right_pieri_successors(alpha, s) == expected
@@ -106,8 +107,25 @@ def test_right_pieri_successors_match_predicate(alpha, s):
         if is_right_pieri_successor(alpha, s, beta)
     }
     got = right_pieri_successors(alpha, s)
-    assert got == brute
-    assert len(got) >= 1
+    assert set(got) == brute
+    assert got == sorted(got)
+    assert len(set(got)) == len(got)
+    assert len(got) == math.comb(s + len(alpha), len(alpha))
+
+
+@pytest.mark.parametrize("alpha,s,beta,expected", [
+    ((2,), 1, (3,), True),
+    ((2,), 1, (2, 1), True),
+    ((1, 1), 2, (2, 2), True),
+    ((1, 1), 2, (1, 1, 2), True),
+    ((2,), 1, (1, 2), False),
+    ((2,), 1, (2, 0, 1), False),
+    ((2,), 1, (3, 0), False),
+    ((2,), 1, (4, -1), False),
+    ((1, 1), 2, (2, 2, 0), False),
+])
+def test_is_right_pieri_successor(alpha, s, beta, expected):
+    assert is_right_pieri_successor(alpha, s, beta) is expected
 
 
 @pytest.mark.parametrize("mu,n,expected", [

@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 from immaculate.compositions import compositions_of, grlex_key, partitions_of
 from immaculate.errors import PreconditionError
@@ -25,6 +28,8 @@ def test_partition_bases_reject_compositions():
     lambda: LinComb.zero("X"),
     lambda: LinComb.from_json_dict(
         {"basis": "H", "terms": [{"coefficient": 1, "index": [0]}]}),
+    lambda: LinComb.from_json_dict(
+        {"basis": "S", "terms": [{"coefficient": 1, "index": [True, 2]}]}),
 ])
 def test_public_constructors_reject_bad_input(build):
     with pytest.raises(PreconditionError):
@@ -64,13 +69,54 @@ def test_str_rendering():
 
 def test_json_round_trip():
     f = LinComb("S", {(1, 2): 3, (3,): -1})
-    assert LinComb.from_json_dict(f.to_json_dict()) == f
-    data = f.to_json_dict()
+    assert LinComb.from_json_dict(json.loads(f.to_json())) == f
+    data = json.loads(f.to_json())
     assert data["basis"] == "S"
     assert data["terms"] == [
         {"coefficient": 3, "index": [1, 2]},
         {"coefficient": -1, "index": [3]},
     ]
+
+
+def reference(f):
+    """The object ``to_json`` writes, built term by term."""
+    return {
+        "basis": f.basis,
+        "terms": [{"coefficient": c, "index": list(idx)} for idx, c in f.items()],
+    }
+
+
+coefficients = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-10**40, max_value=10**40),
+)
+lincombs = st.builds(
+    LinComb,
+    st.sampled_from(["H", "S"]),
+    st.dictionaries(
+        st.lists(st.integers(min_value=1, max_value=12), max_size=6).map(tuple),
+        coefficients,
+        max_size=12,
+    ),
+)
+
+
+@given(lincombs)
+def test_to_json_matches_json_dumps(f):
+    assert f.to_json() == json.dumps(reference(f))
+    assert LinComb.from_json_dict(json.loads(f.to_json())) == f
+
+
+@pytest.mark.parametrize("f", [
+    LinComb.zero("S"),
+    LinComb.monomial("H", ()),
+    LinComb("S", {(1,): -(10**60), (2, 1): 10**60, (3,): 1}),
+    LinComb("h", {(3, 2, 1): 2, (1,): -1, (2,): 0}),
+    LinComb("s", {(1,): 1, (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4): -7}),
+])
+def test_to_json_fixed_cases(f):
+    assert f.to_json() == json.dumps(reference(f))
+    assert LinComb.from_json_dict(json.loads(f.to_json())) == f
 
 
 def test_scalar_multiplication():
