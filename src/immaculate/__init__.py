@@ -5,7 +5,6 @@ machinery behind the cancellation-free left Pieri rule."""
 from .compositions import (
     Permutation,
     add_prefix,
-    comp,
     horizontal_strip_successors,
     permutations,
     right_pieri_successors,

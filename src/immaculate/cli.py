@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .compositions import check_composition, is_partition
+from .compositions import is_partition
 from .errors import PreconditionError, ResourceLimitError
 from .linear import LinComb, linear_sum
 from .nsym import (
@@ -36,21 +36,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-
-def parse_composition(text: str) -> tuple:
-    """Comma-separated positive integers; '0', '' or '[]' denote the empty
-    composition."""
-    text = text.strip()
-    if text in ("", "0", "[]"):
-        return ()
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise PreconditionError(f"cannot parse composition {text!r}")
-    try:
-        return check_composition(parts)
-    except PreconditionError:
-        raise PreconditionError(f"not a composition: {text!r}")
+# product routes: H-basis oracle, signed right Pieri sum, closed-form left Pieri
+METHODS = ("oracle", "tableau", "closed-form")
 
 
 def parse_vector(text: str) -> tuple:
@@ -61,10 +48,20 @@ def parse_vector(text: str) -> tuple:
     try:
         entries = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise PreconditionError(f"cannot parse vector {text!r}")
+        raise PreconditionError(f"cannot parse {text!r} as comma-separated integers")
     if any(e < 0 for e in entries):
         raise PreconditionError(f"negative entry in {text!r}")
     return entries
+
+
+def parse_composition(text: str) -> tuple:
+    """A vector without zeros; '0', '' or '[]' denote the empty composition."""
+    if text.strip() == "0":
+        return ()
+    parts = parse_vector(text)
+    if 0 in parts:
+        raise PreconditionError(f"not a composition: {text!r}")
+    return parts
 
 
 def parse_basis_index(text: str) -> tuple:
@@ -78,10 +75,7 @@ def parse_basis_index(text: str) -> tuple:
 
 
 def emit_combination(f: LinComb, fmt: str):
-    if fmt == "json":
-        print(f.to_json())
-    else:
-        print(str(f))
+    print(f.to_json() if fmt == "json" else str(f))
 
 
 def _as_S(basis: str, index: tuple) -> LinComb:
@@ -90,29 +84,35 @@ def _as_S(basis: str, index: tuple) -> LinComb:
     return H_to_immaculate(LinComb.monomial("H", index))
 
 
+def _single_part(alpha) -> int:
+    """The part of a single-part left factor, which the closed form needs."""
+    if len(alpha) != 1:
+        raise PreconditionError(
+            "the closed form needs a single-part left factor (H_s or S_(s))"
+        )
+    return alpha[0]
+
+
 def cmd_product(args) -> int:
     lbasis, left = parse_basis_index(args.left)
     rbasis, right = parse_basis_index(args.right)
+    # every route multiplies two S basis elements; H factors are expanded in S
+    route = product_in_S_oracle
     if args.method == "tableau":
         if lbasis != "S" or rbasis != "S":
             raise PreconditionError("the tableau method needs S factors on both sides")
-        result = signed_product(left, right)
+        route = signed_product
     elif args.method == "closed-form":
-        if len(left) > 1:
-            raise PreconditionError(
-                "the closed form needs a single-part left factor (H_s or S_(s))"
-            )
+        if left:
+            _single_part(left)
         if rbasis != "S":
             raise PreconditionError("the closed form needs an S right factor")
-        if not left:
-            result = LinComb.monomial("S", right)
-        else:
-            result = left_pieri(left[0], right)
-    else:
-        fl, fr = _as_S(lbasis, left), _as_S(rbasis, right)
-        pairs = ((ca * cb, product_in_S_oracle(a, b))
-                 for a, ca in fl.items() for b, cb in fr.items())
-        result = linear_sum("S", pairs)
+
+        def route(a, b):
+            return left_pieri(a[0], b) if a else LinComb.monomial("S", b)
+    fl, fr = _as_S(lbasis, left), _as_S(rbasis, right)
+    result = linear_sum("S", ((ca * cb, route(a, b))
+                              for a, ca in fl.items() for b, cb in fr.items()))
     emit_combination(result, args.format)
     return EXIT_OK
 
@@ -144,9 +144,7 @@ def cmd_coeff(args) -> int:
             raise PreconditionError("the tableau method needs a partition beta")
         value = count_immaculate_LR(alpha, beta, gamma)
     elif args.method == "closed-form":
-        if len(alpha) != 1:
-            raise PreconditionError("the closed form needs a single-part alpha")
-        value = left_pieri_coefficient(alpha[0], beta, gamma)
+        value = left_pieri_coefficient(_single_part(alpha), beta, gamma)
     else:
         value = structure_constant(alpha, beta, gamma)
     print(value)
@@ -165,29 +163,19 @@ def cmd_left_pieri(args) -> int:
     return EXIT_OK
 
 
-def render_tableau_ascii(t: SkewTableau) -> str:
-    lines = []
-    for r, row in enumerate(t.rows, 1):
-        cells = ["."] * t.inner_at(r) + [str(e) for e in row]
-        lines.append(" ".join(cells))
-    return "\n".join(lines)
-
-
-def render_tableau_latex(t: SkewTableau) -> str:
-    rows = []
-    for r, row in enumerate(t.rows, 1):
-        cells = ["\\none"] * t.inner_at(r) + [str(e) for e in row]
-        rows.append(" & ".join(cells))
-    body = " \\\\\n".join(rows)
-    return "\\begin{ytableau}\n" + body + "\n\\end{ytableau}"
+def render_tableau(t: SkewTableau, fmt: str) -> str:
+    """Rows with a marker per inner cell, as plain text or a LaTeX ytableau."""
+    blank, sep = ("\\none", " & ") if fmt == "latex" else (".", " ")
+    rows = [sep.join([blank] * t.inner_at(r) + [str(e) for e in row])
+            for r, row in enumerate(t.rows, 1)]
+    if fmt == "latex":
+        return "\\begin{ytableau}\n" + " \\\\\n".join(rows) + "\n\\end{ytableau}"
+    return "\n".join(rows)
 
 
 def tableau_json_dict(t: SkewTableau, sigma=None):
-    data = {
-        "inner": list(t.inner),
-        "rows": [list(r) for r in t.rows],
-        "outer": list(t.shape_composition()),
-    }
+    data = {"inner": list(t.inner), "rows": [list(r) for r in t.rows],
+            "outer": list(t.shape_composition())}
     if sigma is not None:
         data["sigma"] = list(sigma.images)
         data["sign"] = sigma.sign
@@ -196,8 +184,6 @@ def tableau_json_dict(t: SkewTableau, sigma=None):
 
 def cmd_tableaux(args) -> int:
     inner = parse_composition(args.inner)
-    if (args.content is None) == (args.beta is None):
-        raise PreconditionError("exactly one of --content and --beta is required")
     shape = parse_composition(args.shape) if args.shape else None
     keep = {"yamanouchi": args.yamanouchi, "semistandard": args.semistandard}
     if args.beta is not None:
@@ -211,11 +197,10 @@ def cmd_tableaux(args) -> int:
     if args.format == "json":
         print(json.dumps([tableau_json_dict(t, s) for t, s in selected]))
         return EXIT_OK
-    render = render_tableau_latex if args.format == "latex" else render_tableau_ascii
     for i, (t, sigma) in enumerate(selected):
         if i:
             print()
-        print(render(t))
+        print(render_tableau(t, args.format))
         if sigma is not None:
             print(f"sigma = {tuple(sigma.images)}  sign = {sigma.sign:+d}")
     print(f"# {len(selected)} tableau{'x' if len(selected) != 1 else ''}")
@@ -256,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="expand a product of basis elements")
     p.add_argument("--left", required=True, metavar="BASIS:PARTS")
     p.add_argument("--right", required=True, metavar="BASIS:PARTS")
-    p.add_argument(
-        "--method", choices=("oracle", "tableau", "closed-form"), default="oracle"
-    )
+    p.add_argument("--method", choices=METHODS, default="oracle")
     add_format(p)
     p.set_defaults(func=cmd_product)
 
@@ -272,9 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", "--alpha", required=True)
     p.add_argument("-b", "--beta", required=True)
     p.add_argument("-g", "--gamma", required=True)
-    p.add_argument(
-        "--method", choices=("oracle", "tableau", "closed-form"), default="oracle"
-    )
+    p.add_argument("--method", choices=METHODS, default="oracle")
     p.set_defaults(func=cmd_coeff)
 
     p = sub.add_parser("right-pieri", help="expand S_alpha * H_s")
@@ -291,11 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tableaux", help="enumerate skew immaculate tableaux")
     p.add_argument("--inner", default="")
-    p.add_argument("--content", help="exact content vector (zeros allowed)")
-    p.add_argument(
-        "--beta",
-        help="enumerate the signed family for this beta and report sigma",
-    )
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--content", help="exact content vector (zeros allowed)")
+    mode.add_argument("--beta", help="enumerate the signed family for this beta "
+                      "and report sigma")
     p.add_argument("--shape", help="keep only this outer shape")
     p.add_argument("--yamanouchi", action="store_true")
     p.add_argument("--semistandard", action="store_true")

@@ -15,7 +15,7 @@ from math import comb, prod
 from operator import add, sub
 from typing import Iterator
 
-from .errors import InvalidVectorError, PreconditionError, ResourceLimitError
+from .errors import PreconditionError, ResourceLimitError
 
 # Work that visits more items than this is refused: counted before it starts
 # where the count is known, and as it goes in the triangular elimination.
@@ -52,14 +52,6 @@ def is_partition(alpha) -> bool:
 def sort_composition(alpha) -> tuple:
     """The partition obtained by reordering the parts of ``alpha``."""
     return tuple(sorted(alpha, reverse=True))
-
-
-def comp(delta) -> tuple:
-    """Drop the zero entries of a nonnegative integer vector, keeping order."""
-    delta = tuple(delta)
-    if any(d < 0 for d in delta):
-        raise InvalidVectorError(f"negative entry in {delta!r}")
-    return tuple(d for d in delta if d > 0)
 
 
 def scale(alpha, n: int) -> tuple:
@@ -150,15 +142,10 @@ def weak_compositions(n: int, length: int) -> Iterator[tuple]:
         yield tuple(map(sub, cuts + (n,), (0,) + cuts))
 
 
-def compositions_of(n: int, length: int | None = None,
-                    max_length: int | None = None) -> Iterator[tuple]:
-    """All compositions of ``n``, optionally with (maximum) length fixed, by
-    length, then in lexicographic order: that of their cut points 0 < c_1 < ... < n."""
-    if length is None:
-        top = n if max_length is None else min(n, max_length)
-        lengths = range(top + 1)
-    else:
-        lengths = (length,)
+def compositions_of(n: int, length: int | None = None) -> Iterator[tuple]:
+    """All compositions of ``n``, optionally with length fixed, by length,
+    then in lexicographic order: that of their cut points 0 < c_1 < ... < n."""
+    lengths = range(n + 1) if length is None else (length,)
     for ln in lengths:
         if ln < 1 or n < ln:
             if n == ln == 0:

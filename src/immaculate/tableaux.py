@@ -63,10 +63,6 @@ class SkewTableau:
     def inner_at(self, row: int) -> int:
         return self.inner[row - 1] if row <= len(self.inner) else 0
 
-    @property
-    def n_cells(self) -> int:
-        return sum(len(r) for r in self.rows)
-
     def first_column(self) -> tuple:
         """Entries actually occupying column 1, top to bottom."""
         return tuple(
@@ -299,10 +295,13 @@ def enumerate_T_alpha_beta(
 def signed_product(alpha, beta) -> LinComb:
     """S_alpha * S_beta via the signed sum over permutations of iterated
     right Pieri steps whose sizes are the shifted entries of beta
-    (``shifted_entries``); zero steps are skipped."""
+    (``shifted_entries``); zero steps are skipped.  The right Pieri terms
+    visited so far, over all permutations, are counted against
+    ENUMERATION_LIMIT."""
     alpha = check_composition(alpha)
     beta = check_composition(beta)
     out = {}
+    visited = 0
     for sigma, steps in shifted_entries(beta):
         frontier = {alpha: 1}
         for s in steps:
@@ -310,7 +309,10 @@ def signed_product(alpha, beta) -> LinComb:
                 continue
             nxt = {}
             for gamma, mult in frontier.items():
-                for succ in right_pieri_successors(gamma, s):
+                successors = right_pieri_successors(gamma, s)
+                visited += len(successors)
+                check_enumeration("right Pieri terms in the signed product", visited)
+                for succ in successors:
                     nxt[succ] = nxt.get(succ, 0) + mult
             frontier = nxt
         for gamma, mult in frontier.items():

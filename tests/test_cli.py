@@ -187,6 +187,7 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "coeff", "-a", "1,2", "-b", "1", "-g", "1",
                        "--method", "closed-form")
     assert code == 2
+    assert "single-part left factor" in err
     # H_(2,1) is no single-part factor: the closed form would drop its tail
     code, out, err = run(capsys, "product", "--left", "H:2,1", "--right", "S:1",
                          "--method", "closed-form")
@@ -225,8 +226,11 @@ def test_tableau_enumeration_limit_exit_3(capsys, monkeypatch):
     # the first step expands S_(1^19) into 262,144 H terms (about 5 s)
     (["convert", "H:" + ",".join(["1"] * 19), "--to", "S"],
      "terms in elimination to S (limit 500000)", 60),
+    # each right Pieri step is small; the walk over all permutations is not
+    (["product", "--left", "S:1,1,1,1", "--right", "S:14,14", "--method", "tableau"],
+     "500616 right Pieri terms in the signed product (limit 500000)", 5),
 ], ids=["convert", "right-pieri", "left-pieri", "oracle-product",
-        "convert-to-S"])
+        "convert-to-S", "tableau-product"])
 def test_oversized_enumerations_refused_at_once(argv, counted, seconds):
     # each ran for minutes or hours, or ran out of memory, before it was counted
     proc = run_child(*argv, timeout=seconds)
@@ -317,6 +321,12 @@ PINNED_OUTPUT = [
     pytest.param("product --left S:2 --right S:2,4 --method closed-form --format json",
                  "672def8027ea4c156081b92d50f88907a342e7a8e100cc8f056f3120899e0638",
                  id="product-closed-form-json"),
+    pytest.param("tableaux --inner 1 --beta 2,1 --format text",
+                 "e561af00d5da90dca4aad82daf0b067169fa32eae9921a540e8ccd30450b52e2",
+                 id="tableaux-beta-text"),
+    pytest.param("tableaux --inner 1 --beta 2,1 --format latex",
+                 "e9ee7b8bb9dad8e52558b93a82bdf82ccf0d9327265d1937c8ed71510235168a",
+                 id="tableaux-beta-latex"),
 ]
 
 
@@ -325,6 +335,48 @@ def test_output_bytes_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+ROUTE_LEFTS = ("S:2", "H:2", "S:2,1", "H:2,1", "S:0")
+ROUTE_RIGHTS = ("S:1,2", "H:1,2", "S:0")
+# exit codes of `product`, one group of three right factors per left factor:
+# the tableau route refuses H on either side, the closed form a left factor
+# of two parts and H on the right
+ROUTE_EXIT_CODES = {
+    "oracle": "000 000 000 000 000",
+    "tableau": "020 222 020 222 020",
+    "closed-form": "020 020 222 222 020",
+}
+# sha256 of stdout, the same for every method that answers
+ROUTE_OUTPUT = {
+    "S:2 S:1,2": "e2f020800243cd7eb3c6e2270b790ff9b3bb05087d94d7d2acbb44a488966613",
+    "S:2 H:1,2": "b465b6ecb5cc9c252d6d283c4d183a1d53bb344f59482c02f3c6465c24d6a873",
+    "S:2 S:0": "d1ad2cd15a4307c68a6e6c1b57812224c7b1131a84662858db3c727529cb08b0",
+    "H:2 S:1,2": "e2f020800243cd7eb3c6e2270b790ff9b3bb05087d94d7d2acbb44a488966613",
+    "H:2 H:1,2": "b465b6ecb5cc9c252d6d283c4d183a1d53bb344f59482c02f3c6465c24d6a873",
+    "H:2 S:0": "d1ad2cd15a4307c68a6e6c1b57812224c7b1131a84662858db3c727529cb08b0",
+    "S:2,1 S:1,2": "1be9a161fd83e01af45848c7e6ac5ae5f48513a3894d47c3eb62080fa9484879",
+    "S:2,1 H:1,2": "7a7f45f62b3747950347d4ca811ea6fe92650fc6e140c16388fc0fafaff44210",
+    "S:2,1 S:0": "546afee1ebe9d550120b220bb249a784be6fe2e3e8985f6828cf935620aa3d58",
+    "H:2,1 S:1,2": "e3685ae6e5172256f06d70a2e7e19b6affc55d947eccfea222b62f63a2e74e5c",
+    "H:2,1 H:1,2": "e4c7802f103220e510e30e74d809144a55cc160401f87025cd64d1631c693814",
+    "H:2,1 S:0": "5db13b0c5f74759a89e0e953640a910ea620b0897af597e1fe62a275dbe8f767",
+    "S:0 S:1,2": "aa32cc7f4b0c17a0110b49056ee725c2a9cc80acd0c41f17754ba94144d00119",
+    "S:0 H:1,2": "f18366623335e1517c18eff83486a1f182046048ee13a13de1150168c4eb77c7",
+    "S:0 S:0": "d3c2df50c18ed7984a7cde44b3d2b6f15639530330856f3ea9a3cc68db26e8b7",
+}
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_product_route_matrix(capsys, method):
+    groups = ROUTE_EXIT_CODES[method].split()
+    for left, group in zip(ROUTE_LEFTS, groups, strict=True):
+        for right, want in zip(ROUTE_RIGHTS, map(int, group), strict=True):
+            code, out, err = run(capsys, "product", "--left", left, "--right", right,
+                                 "--method", method)
+            assert code == want, (left, right, err)
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert (out == "") if code else (digest == ROUTE_OUTPUT[f"{left} {right}"])
 
 
 def test_installed_entry_point():

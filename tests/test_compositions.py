@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from immaculate.compositions import (
     Permutation,
     add_prefix,
-    comp,
     compositions_of,
     horizontal_strip_successors,
     is_right_pieri_successor,
@@ -20,11 +19,7 @@ from immaculate.compositions import (
     sort_composition,
     weak_compositions,
 )
-from immaculate.errors import (
-    InvalidVectorError,
-    PreconditionError,
-    ResourceLimitError,
-)
+from immaculate.errors import PreconditionError, ResourceLimitError
 
 compositions = st.lists(st.integers(min_value=1, max_value=6), max_size=5).map(tuple)
 small_compositions = (
@@ -41,20 +36,6 @@ small_compositions = (
 ])
 def test_sort(alpha, expected):
     assert sort_composition(alpha) == expected
-
-
-@pytest.mark.parametrize("delta,expected", [
-    ((4, 3, 0), (4, 3)),
-    ((0, 0), ()),
-    ((2, 3, 2, 2), (2, 3, 2, 2)),
-])
-def test_comp(delta, expected):
-    assert comp(delta) == expected
-
-
-def test_comp_rejects_negative():
-    with pytest.raises(InvalidVectorError):
-        comp((1, -1))
 
 
 @pytest.mark.parametrize("alpha,n,expected", [
@@ -289,8 +270,6 @@ def test_generators_match_part_by_part_reference():
                 ordered_tuples(n, length, 0), (n, length)
             by_length += want
         assert list(compositions_of(n)) == by_length
-        assert list(compositions_of(n, max_length=2)) == [
-            c for c in by_length if len(c) <= 2]
     assert list(compositions_of(0, length=1)) == []
     assert list(weak_compositions(0, 3)) == [(0, 0, 0)]
     assert list(compositions_of(-1, length=1)) == list(weak_compositions(-1, 1)) == []

@@ -1,6 +1,12 @@
+import contextlib
+import hashlib
+import io
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,3 +31,29 @@ def test_traced_verify_warm_smoke_run():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "wrong answers 0" in proc.stdout, proc.stdout + proc.stderr
+
+
+# sha256 over one JSON line [argv, exit code, stdout, stderr] per query of
+# the seed-1 stream, so that a change meant to keep the CLI's output cannot
+# change a byte of it unnoticed
+STREAM_DIGESTS = {
+    "cli-cold": "88d47db5bd0697bc98fb3ee2454333922977a63e811cebd625214a728097bf3b",
+    "pieri-large": "35b4582a1553d6ebd1c1284df04390ed89e0b63f541b8fa69e506171a39488d7",
+    "verify-warm": "72acb7b08770a817c465a36928ee85f417878331c31966f5dd5f37def5552132",
+}
+
+
+@pytest.mark.parametrize("workload", STREAM_DIGESTS)
+def test_seed_stream_output_pinned(monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+    from immaculate import cli
+
+    digest = hashlib.sha256()
+    for q in workloads.WORKLOADS[workload][0](1):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(q.argv)
+        line = json.dumps([q.argv, rc, out.getvalue(), err.getvalue()]) + "\n"
+        digest.update(line.encode())
+    assert digest.hexdigest() == STREAM_DIGESTS[workload]

@@ -111,7 +111,7 @@ def test_enumerate_exact_content_free_shape():
 def test_enumerate_empty_content():
     ts = enumerate_skew_immaculate((3, 1), ())
     assert len(ts) == 1
-    assert ts[0].n_cells == 0
+    assert ts[0].rows == ((), ())
 
 
 def test_enumerate_budget(monkeypatch):
@@ -164,6 +164,19 @@ def test_signed_product_example():
 def test_signed_product_unit():
     assert signed_product((3, 1), ()) == LinComb.monomial("S", (3, 1))
     assert signed_product_via_tableaux((3, 1), ()) == LinComb.monomial("S", (3, 1))
+
+
+def test_signed_product_counts_right_pieri_terms(monkeypatch):
+    # S_(1,1) * S_(2,2): 100 right Pieri terms over both permutations
+    alpha, beta = (1, 1), (2, 2)
+    monkeypatch.setattr(LIMIT, 100)
+    signed_product.cache_clear()
+    assert signed_product(alpha, beta) == product_in_S_oracle(alpha, beta)
+    monkeypatch.setattr(LIMIT, 99)
+    signed_product.cache_clear()
+    with pytest.raises(ResourceLimitError,
+                       match="100 right Pieri terms in the signed product .limit 99"):
+        signed_product(alpha, beta)
 
 
 def test_both_routes_match_oracle():
