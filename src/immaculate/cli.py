@@ -41,17 +41,19 @@ METHODS = ("oracle", "tableau", "closed-form")
 
 
 def parse_vector(text: str) -> tuple:
-    """Comma-separated nonnegative integers (content vectors allow zeros)."""
+    """Comma-separated nonnegative integers (content vectors allow zeros).
+
+    Only the whole argument is trimmed; each entry is plain ASCII digits, so
+    no sign, underscore, inner space or other Unicode digit is read."""
     text = text.strip()
     if text in ("", "[]"):
         return ()
-    try:
-        entries = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise PreconditionError(f"cannot parse {text!r} as comma-separated integers")
-    if any(e < 0 for e in entries):
-        raise PreconditionError(f"negative entry in {text!r}")
-    return entries
+    parts = text.split(",")
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise PreconditionError(
+            f"cannot parse {text!r} as comma-separated nonnegative integers"
+        )
+    return tuple(map(int, parts))
 
 
 def parse_composition(text: str) -> tuple:
@@ -144,7 +146,9 @@ def cmd_coeff(args) -> int:
             raise PreconditionError("the tableau method needs a partition beta")
         value = count_immaculate_LR(alpha, beta, gamma)
     elif args.method == "closed-form":
-        value = left_pieri_coefficient(_single_part(alpha), beta, gamma)
+        # C^gamma_{(),beta} = [gamma = beta], as S_() = 1
+        value = (left_pieri_coefficient(_single_part(alpha), beta, gamma) if alpha
+                 else int(gamma == beta))
     else:
         value = structure_constant(alpha, beta, gamma)
     print(value)
@@ -290,10 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once, at import: parse_args keeps no state between calls
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

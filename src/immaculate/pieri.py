@@ -66,6 +66,13 @@ def z_membership(delta, beta) -> bool:
         raise PreconditionError(f"delta has {len(delta)} entries, want {n + 1}")
     if delta[0] < 1 or any(d < 0 for d in delta):
         raise PreconditionError(f"need delta_1 >= 1 and no negative entry: {delta!r}")
+    return _z_member(delta, beta)
+
+
+def _z_member(delta, beta) -> bool:
+    """``z_membership`` without its checks, for a candidate built from a
+    checked gamma against a checked beta."""
+    n = len(beta)
     s = delta[0] - 1
     threshold = s
     beta_prefix = 0
@@ -104,7 +111,7 @@ def left_pieri_unit_coefficient(beta, gamma) -> int:
     if sum(gamma) != 1 + sum(beta):
         return 0
     if len(gamma) == n + 1:
-        if z_membership(gamma, beta):
+        if _z_member(gamma, beta):
             return sgn(tuple(beta[i] - gamma[i + 1] for i in range(n)))
         return 0
     if len(gamma) == n and n >= 1:
@@ -112,7 +119,7 @@ def left_pieri_unit_coefficient(beta, gamma) -> int:
         k = n
         while k > 1 and beta[k - 1] == gamma[k - 1]:
             k -= 1
-        if not z_membership(_zero_inserted(gamma, k), beta):
+        if not _z_member(_zero_inserted(gamma, k), beta):
             return 0
         # largest r with beta weakly chained upward from k
         r = k

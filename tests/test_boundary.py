@@ -9,10 +9,11 @@ size of its output.
 
 import sys
 from collections import Counter
+from math import comb
 
 from immaculate.linear import LinComb
 from immaculate.nsym import H_to_immaculate, immaculate_comb_to_H, immaculate_to_H
-from immaculate.pieri import right_pieri
+from immaculate.pieri import left_pieri, right_pieri
 from immaculate.tableaux import enumerate_skew_immaculate
 
 CHECKS = ("check_composition", "check_partition")
@@ -43,6 +44,16 @@ def test_right_pieri_checks_its_argument_once(monkeypatch):
     calls = count_checks(monkeypatch)
     assert len(right_pieri((1,) * 5, 8)) == 1287
     assert sum(calls.values()) == 1
+
+
+def test_left_pieri_checks_each_candidate_twice(monkeypatch):
+    # The one known exception to the rule above: one check of beta, then
+    # the unit coefficient's checks of beta and of the candidate, for each
+    # composition of |beta| + 1 = 14 into 4 or 5 parts; the membership test
+    # on a candidate checks nothing again.
+    calls = count_checks(monkeypatch)
+    left_pieri(1, (3, 4, 3, 3))
+    assert sum(calls.values()) == 1 + 2 * (comb(13, 3) + comb(13, 4)) == 2003
 
 
 def test_enumeration_checks_its_arguments_once(monkeypatch):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from immaculate import cli
-from immaculate.cli import main, parse_basis_index, parse_composition
+from immaculate.cli import main, parse_basis_index, parse_composition, parse_vector
+from immaculate.errors import PreconditionError
 from immaculate.tableaux import SkewTableau, is_semistandard, is_yamanouchi
 
 
@@ -34,9 +36,23 @@ def run_child(*argv, timeout=None):
     ("0", ()),
     ("", ()),
     ("[]", ()),
+    (" 2,4 ", (2, 4)),
 ])
 def test_parse_composition(text, expected):
     assert parse_composition(text) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "+1", "-1", "1, 2", "1 ,2", "1,,2", "\u00b2", "2\u00b2",
+    "\u0661", "\uff11",
+])
+def test_parse_vector_takes_only_ascii_digits(capsys, text):
+    # int() would read each of these; only the whole argument is trimmed
+    with pytest.raises(PreconditionError, match="cannot parse"):
+        parse_vector(text)
+    code, out, err = run(capsys, "left-pieri", "--s", "1", f"--beta={text}")
+    assert (code, out) == (2, "")
+    assert "cannot parse" in err
 
 
 def test_parse_basis_index():
@@ -101,6 +117,15 @@ def test_coeff_methods(capsys):
             capsys, "coeff", "-a", "2", "-b", "2,4", "-g", gamma,
             "--method", "closed-form",
         )
+        assert (code, out.strip()) == (0, want)
+
+
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_coeff_empty_left_factor(capsys, method):
+    # S_() = 1, so C^gamma_{(),beta} is 1 exactly when gamma = beta
+    for gamma, want in (("2,1", "1"), ("1,2", "0")):
+        code, out, _ = run(capsys, "coeff", "-a", "0", "-b", "2,1", "-g", gamma,
+                           "--method", method)
         assert (code, out.strip()) == (0, want)
 
 
@@ -236,6 +261,28 @@ def test_oversized_enumerations_refused_at_once(argv, counted, seconds):
     proc = run_child(*argv, timeout=seconds)
     assert proc.returncode == 3
     assert counted in proc.stderr
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    # the shared parser carries nothing from one call to the next: not the
+    # failed parse, not the other mode of the group, not an option's value
+    for argv in (["tableaux", "--inner", "1"],
+                 ["tableaux", "--content", "1,1"],
+                 ["tableaux", "--beta", "2,1"],
+                 ["verify", "--suite", "chi"]):
+        code, out, _ = run(capsys, *argv)
+        child = run_child(*argv)
+        assert (code, out) == (child.returncode, child.stdout), argv
+    assert (code, out) == (0, "suite chi: pass (max-size 7)\n")
+    assert built == []
 
 
 def test_verify_suite_pass(capsys):

@@ -59,9 +59,16 @@ def test_z_membership(first, tail, beta, expected):
     assert z_membership((first,) + tail, beta) is expected
 
 
-def test_z_membership_length_mismatch():
-    with pytest.raises(PreconditionError):
-        z_membership((2, 1), (1, 1))
+@pytest.mark.parametrize("delta,beta,message", [
+    ((2, 1), (1, 1), "delta has 2 entries, want 3"),
+    ((0, 1, 1), (1, 1), "need delta_1 >= 1"),
+    ((2, 1, -1), (1, 1), "no negative entry"),
+    ((2, 1, 1), (1, 0), "not a composition"),
+], ids=["length", "delta_1", "negative", "beta"])
+def test_z_membership_checks_its_arguments(delta, beta, message):
+    # the closed form calls an unchecked kernel; the public test still checks
+    with pytest.raises(PreconditionError, match=message):
+        z_membership(delta, beta)
 
 
 def test_unit_coefficient_longer_shape():
