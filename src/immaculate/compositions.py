@@ -10,9 +10,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain
 from math import comb, prod
-from operator import add, sub
+from operator import add
 from typing import Iterator
 
 from .errors import PreconditionError, ResourceLimitError
@@ -82,13 +82,11 @@ def right_pieri_successors(alpha, s: int) -> list:
     plus a weak composition of s, with a last entry 0 dropped; distinct
     weak compositions give distinct beta, in their own (lexicographic) order.
     """
+    alpha = check_composition(alpha)
     if s < 1:
         raise PreconditionError(f"s must be >= 1, got {s}")
     check_enumeration("right Pieri terms", comb(s + len(alpha), len(alpha)))
-    padded = tuple(alpha) + (0,)
-    out = [tuple(map(add, padded, extra))
-           for extra in weak_compositions(s, len(padded))]
-    return [beta if beta[-1] else beta[:-1] for beta in out]
+    return list(_extended(alpha + (0,), s, trim=True))
 
 
 def is_right_pieri_successor(alpha, s: int, beta) -> bool:
@@ -131,28 +129,70 @@ def horizontal_strip_successors(mu, n: int) -> set:
     return out
 
 
+def _extended(base: tuple, n: int, trim: bool = False) -> Iterator[tuple]:
+    """``base + w`` entrywise, for every weak composition ``w`` of ``n`` with
+    len(base) parts, in lexicographic order of ``w``; ``base`` has no negative
+    part, and with ``trim`` a last part 0 is dropped.
+
+    Prefixes are built one part at a time, depth first, each with the cells
+    it has left.  The last two parts come from one list of tails per count of
+    cells left, shared by every prefix with that count, so each output tuple
+    costs one concatenation, made in ``map``.
+    """
+    trim = trim and bool(base) and not base[-1]
+    rest = base[:-1] if trim else base
+    if n <= 0:
+        return iter([rest] if n == 0 else [])
+    if len(base) < 2:
+        return iter([(base[0] + n,)] if base else [])
+    *head, x, y = base
+
+    def pairs(r):
+        if trim:
+            return [*zip(range(x, x + r), range(y + r, y, -1)), (x + r,)]
+        return list(zip(range(x, x + r + 1), range(y + r, y - 1, -1)))
+
+    if not head:
+        return iter(pairs(n))
+    # with one head part every count of cells left comes once: nothing to
+    # share, so each prefix's tails are built when needed and not kept
+    tails = pairs if len(head) == 1 else list(map(pairs, range(n + 1))).__getitem__
+    last = len(head) - 1
+
+    def batches():
+        pending = [((), n, 0)]
+        while pending:
+            prefix, left, k = pending.pop()
+            if not left:
+                # no cells left: the one completion is the rest of ``base``
+                yield (prefix + rest[k:],)
+                continue
+            b = head[k]
+            if k < last:
+                # pushed largest first, so the smallest part is taken next
+                pending += [(prefix + (b + a,), left - a, k + 1)
+                            for a in range(left, -1, -1)]
+            else:
+                for a in range(left + 1):
+                    yield map((prefix + (b + a,)).__add__, tails(left - a))
+
+    return chain.from_iterable(batches())
+
+
 def weak_compositions(n: int, length: int) -> Iterator[tuple]:
     """All length-``length`` tuples of nonnegative integers summing to ``n``,
-    in lexicographic order: that of their cut points 0 <= c_1 <= ... <= n."""
-    if length < 1 or n < 0:
-        if n == length == 0:
-            yield ()
-        return
-    for cuts in combinations_with_replacement(range(n + 1), length - 1):
-        yield tuple(map(sub, cuts + (n,), (0,) + cuts))
+    in lexicographic order."""
+    if length >= 0:
+        yield from _extended((0,) * length, n)
 
 
 def compositions_of(n: int, length: int | None = None) -> Iterator[tuple]:
     """All compositions of ``n``, optionally with length fixed, by length,
-    then in lexicographic order: that of their cut points 0 < c_1 < ... < n."""
+    then in lexicographic order."""
     lengths = range(n + 1) if length is None else (length,)
     for ln in lengths:
-        if ln < 1 or n < ln:
-            if n == ln == 0:
-                yield ()
-            continue
-        for cuts in combinations(range(1, n), ln - 1):
-            yield tuple(map(sub, cuts + (n,), (0,) + cuts))
+        if ln >= 0:
+            yield from _extended((1,) * ln, n - ln)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple]:

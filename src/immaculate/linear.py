@@ -96,17 +96,18 @@ class LinComb:
 
     def __str__(self):
         """``S[1,2] - 2*S[3]``: terms in graded-lex order, unit coefficients
-        left out.  Each term is written as ``+ S[1, 2]`` or ``- 2*S[3]`` in
-        one pass; the comma spaces and the leading sign are fixed after."""
+        left out.  Each term is written as `` + S[1,2]`` or `` - 2*S[3]``
+        with one head per distinct coefficient and one format string per
+        index length; the leading sign is fixed after."""
         if not self.terms:
             return "0"
-        basis = self.basis
-        text = " ".join([
-            f"{'+' if c > 0 else '-'} {'' if c in (1, -1) else f'{abs(c)}*'}"
-            f"{basis}{list(idx)}"
-            for idx, c in self.items()
-        ]).replace(", ", ",")
-        return text[2:] if text[0] == "+" else "-" + text[2:]
+        support = self.support()
+        coefficients = list(map(self.terms.__getitem__, support))
+        heads = {c: f"{' + ' if c > 0 else ' - '}{'' if c in (1, -1) else f'{abs(c)}*'}"
+                    f"{self.basis}" for c in set(coefficients)}
+        text = "".join(_formatted("%s[", ",", "]", support,
+                                  zip(map(heads.__getitem__, coefficients))))
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self):
         return f"LinComb({self.basis!r}, {dict(self.items())!r})"
@@ -114,11 +115,11 @@ class LinComb:
     def to_json(self) -> str:
         """The JSON text ``{"basis": ..., "terms": [{"coefficient": c,
         "index": [...]}, ...]}``, terms in graded-lex order, written in one
-        pass; byte-identical to ``json.dumps`` of that object."""
+        pass with one format string per index length; byte-identical to
+        ``json.dumps`` of that object."""
         support = self.support()
-        terms = ", ".join(map('{"coefficient": %d, "index": %s}'.__mod__,
-                              zip(map(self.terms.__getitem__, support),
-                                  map(list, support))))
+        terms = ", ".join(_formatted('{"coefficient": %d, "index": [', ", ", "]}",
+                                     support, zip(map(self.terms.__getitem__, support))))
         return '{"basis": "%s", "terms": [%s]}' % (self.basis, terms)
 
     @classmethod
@@ -131,11 +132,23 @@ class LinComb:
 
 def _built(basis: str, terms: dict) -> LinComb:
     """A combination whose indices the package built itself: no index
-    checks, only zero coefficients are dropped."""
+    checks, only zero coefficients are dropped.  ``terms`` must be a fresh
+    dict the caller does not keep: without a zero it becomes the terms."""
     f = LinComb.__new__(LinComb)
     f.basis = basis
-    f.terms = {idx: c for idx, c in terms.items() if c}
+    f.terms = terms if 0 not in terms.values() else {
+        idx: c for idx, c in terms.items() if c}
     return f
+
+
+def _formatted(head: str, sep: str, end: str, indices, heads):
+    """The terms as text: per index, ``head`` with its one placeholder
+    filled from the matching 1-tuple of ``heads``, then the index's parts
+    joined by ``sep``, then ``end``.  One format string per index length,
+    and no Python call per term."""
+    formats = {k: head + sep.join(["%d"] * k) + end for k in set(map(len, indices))}
+    return map(str.__mod__, map(formats.__getitem__, map(len, indices)),
+               map(tuple.__add__, heads, indices))
 
 
 def linear_sum(basis: str, pairs) -> LinComb:

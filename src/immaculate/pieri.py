@@ -21,8 +21,8 @@ from .linear import LinComb, _built
 
 
 def right_pieri(alpha, s: int) -> LinComb:
-    """S_alpha * H_s: multiplicity-free sum over the right cover relation."""
-    alpha = check_composition(alpha)
+    """S_alpha * H_s: multiplicity-free sum over the right cover relation;
+    ``right_pieri_successors`` checks alpha and s."""
     return _built("S", dict.fromkeys(right_pieri_successors(alpha, s), 1))
 
 

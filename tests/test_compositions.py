@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +74,7 @@ def test_add_prefix_preserves_length_and_size(alpha, v):
 @pytest.mark.parametrize("alpha,s,expected", [
     ((2,), 2, [(2, 2), (3, 1), (4,)]),
     ((), 3, [(3,)]),
+    ((), 1, [(1,)]),
     ((1, 2), 1, [(1, 2, 1), (1, 3), (2, 2)]),
 ])
 def test_right_pieri_successors(alpha, s, expected):
@@ -274,6 +276,38 @@ def test_generators_match_part_by_part_reference():
     assert list(weak_compositions(0, 3)) == [(0, 0, 0)]
     assert list(compositions_of(-1, length=1)) == list(weak_compositions(-1, 1)) == []
     ordered_tuples.cache_clear()
+
+
+def test_right_pieri_successors_match_part_by_part_reference():
+    # alpha + (0,) plus each weak composition of s, built part by part, with
+    # a last part 0 dropped: the same terms in the same order
+    for size in range(7):
+        for alpha in compositions_of(size):
+            for s in range(1, 7):
+                want = [beta if beta[-1] else beta[:-1]
+                        for beta in (tuple(map(operator.add, alpha + (0,), w))
+                                     for w in ordered_tuples(s, len(alpha) + 1, 0))]
+                assert right_pieri_successors(alpha, s) == want, (alpha, s)
+    ordered_tuples.cache_clear()
+
+
+def test_generators_at_the_edges():
+    # totals 0..10 at lengths 0..n+2 are compared with the reference above;
+    # a negative total or length gives nothing, and right covers need s >= 1
+    for n, length in itertools.product((-3, -1, 0, 2), (-1, 0, 1, 3)):
+        if n < 0 or length < 0:
+            assert list(compositions_of(n, length)) == [], (n, length)
+            assert list(weak_compositions(n, length)) == [], (n, length)
+    assert list(compositions_of(-1)) == list(compositions_of(-3)) == []
+    for s in (0, -1):
+        with pytest.raises(PreconditionError, match="s must be >= 1"):
+            right_pieri_successors((2, 1), s)
+
+
+@pytest.mark.parametrize("alpha", [(0, 2), (2, -1), [1.5], (True,)])
+def test_right_pieri_successors_rejects_non_compositions(alpha):
+    with pytest.raises(PreconditionError, match="not a composition"):
+        right_pieri_successors(alpha, 1)
 
 
 def test_partitions_of_counts():

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from immaculate.compositions import compositions_of, grlex_key, partitions_of
 from immaculate.errors import PreconditionError
-from immaculate.linear import BASES, LinComb
+from immaculate.linear import BASES, LinComb, _built
 
 
 def test_zero_terms_dropped():
@@ -117,6 +117,30 @@ def test_to_json_matches_json_dumps(f):
 def test_to_json_fixed_cases(f):
     assert f.to_json() == json.dumps(reference(f))
     assert LinComb.from_json_dict(json.loads(f.to_json())) == f
+
+
+def text_reference(f):
+    """The text ``str`` writes, built term by term."""
+    if not f.terms:
+        return "0"
+    terms = [("-" if c < 0 else "+",
+              f"{'' if abs(c) == 1 else f'{abs(c)}*'}{f.basis}[{','.join(map(str, idx))}]")
+             for idx, c in f.items()]
+    (sign, first), rest = terms[0], terms[1:]
+    return ("-" if sign == "-" else "") + first + "".join(f" {s} {t}" for s, t in rest)
+
+
+@given(lincombs)
+def test_str_matches_term_by_term_reference(f):
+    assert str(f) == text_reference(f)
+
+
+def test_built_keeps_a_dict_without_zeros():
+    terms = {(2, 1): 3, (1,): -1}
+    assert _built("S", terms).terms is terms
+    with_zero = {(2, 1): 0, (1,): -1}
+    f = _built("S", with_zero)
+    assert f.terms == {(1,): -1} and with_zero == {(2, 1): 0, (1,): -1}
 
 
 def test_scalar_multiplication():
