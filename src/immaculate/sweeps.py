@@ -2,11 +2,14 @@
 
 Each sweep compares two independent computation routes over a bounded range
 and returns ``None`` on success or a short witness string describing the
-first disagreement.  The CLI ``verify`` subcommand and the acceptance tests
-both drive these.
+first disagreement.  A sweep is written as a generator of cases and made
+into that function by ``_sweep``, which holds the one comparison loop.  The
+CLI ``verify`` subcommand and the acceptance tests both drive these.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .compositions import (
     Permutation,
@@ -44,6 +47,25 @@ DEFAULT_MAX_DEGREE = 7
 NOTHING_COMPARED = "no instances compared"
 
 
+def _sweep(cases):
+    """``sweep(max_size)`` from a generator of cases ``(got, want, witness,
+    args)``: ``None`` when got == want in every case, else the first failing
+    case's ``witness.format(*args, got=got, want=want)``, or
+    ``NOTHING_COMPARED`` when there is no case.  No case after a failing one
+    is drawn, so a case may rely on the ones before it holding."""
+
+    @functools.wraps(cases)
+    def sweep(max_size):
+        compared = 0
+        for got, want, witness, args in cases(max_size):
+            if got != want:
+                return witness.format(*args, got=got, want=want)
+            compared += 1
+        return None if compared else NOTHING_COMPARED
+
+    return sweep
+
+
 def _all_compositions_up_to(n):
     for size in range(n + 1):
         yield from compositions_of(size)
@@ -69,30 +91,29 @@ def _partition_triples(max_size):
                         yield mu, nu, lam
 
 
+@_sweep
 def sweep_roundtrip(max_size):
     """H -> S -> H on monomials and S -> H -> S on basis elements, over every
     composition of size <= max_size."""
     for alpha in _all_compositions_up_to(max_size):
         f = LinComb.monomial("H", alpha)
-        back = immaculate_comb_to_H(H_to_immaculate(f))
-        if back != f:
-            return f"H->S->H failed at alpha={alpha}"
-        s = H_to_immaculate(immaculate_to_H(alpha))
-        if s != LinComb.monomial("S", alpha):
-            return f"S->H->S failed at alpha={alpha}"
-    return None
+        yield (immaculate_comb_to_H(H_to_immaculate(f)), f,
+               "H->S->H failed at alpha={}", (alpha,))
+        yield (H_to_immaculate(immaculate_to_H(alpha)), LinComb.monomial("S", alpha),
+               "S->H->S failed at alpha={}", (alpha,))
 
 
+@_sweep
 def sweep_right_pieri(max_size):
     """Right Pieri rule against the oracle for |alpha| <= max_size and
     s <= 4; H_s = S_(s)."""
     for alpha in _all_compositions_up_to(max_size):
         for s in range(1, 5):
-            if right_pieri(alpha, s) != product_in_S_oracle(alpha, (s,)):
-                return f"right Pieri failed at alpha={alpha}, s={s}"
-    return None
+            yield (right_pieri(alpha, s), product_in_S_oracle(alpha, (s,)),
+                   "right Pieri failed at alpha={}, s={}", (alpha, s))
 
 
+@_sweep
 def sweep_left_pieri(max_size):
     """Closed-form left Pieri rule against the oracle, plus multiplicity
     freeness and the zero-insertion cancellation bookkeeping, for
@@ -103,26 +124,21 @@ def sweep_left_pieri(max_size):
         for s in range(1, 4):
             closed = left_pieri(s, beta)
             oracle = product_in_S_oracle((s,), beta)
-            if closed != oracle:
-                return f"left Pieri failed at s={s}, beta={beta}"
-            if any(c not in (-1, 1) for c in closed.terms.values()):
-                return f"coefficient outside {{-1,0,1}} at s={s}, beta={beta}"
+            yield closed, oracle, "left Pieri failed at s={}, beta={}", (s, beta)
+            yield (all(c in (-1, 1) for c in closed.terms.values()), True,
+                   "coefficient outside {{-1,0,1}} at s={}, beta={}", (s, beta))
             if s == 1 and beta:
                 for gamma in oracle.support():
-                    direct = left_pieri_unit_coefficient(beta, gamma)
-                    summed = zero_insertion_sign_sum(beta, gamma)
-                    if direct != summed:
-                        return (
-                            "cancellation bookkeeping failed at "
-                            f"beta={beta}, gamma={gamma}"
-                        )
-    return None
+                    yield (left_pieri_unit_coefficient(beta, gamma),
+                           zero_insertion_sign_sum(beta, gamma),
+                           "cancellation bookkeeping failed at beta={}, gamma={}",
+                           (beta, gamma))
 
 
+@_sweep
 def sweep_translation(max_size):
     """Structure constants are invariant under admissible prefix shifts v,
     for |alpha| + |beta| <= max_size and |v| <= 2."""
-    compared = 0
     for alpha, beta in _pairs(max_size, compositions_of):
         if not alpha:
             continue
@@ -130,16 +146,14 @@ def sweep_translation(max_size):
         for v in _all_compositions_up_to(2):
             if not v or len(v) > len(alpha):
                 continue
-            compared += 1
             shifted = product_in_S_oracle(add_prefix(alpha, v), beta)
             for gamma in base.support():
-                if len(gamma) < len(v):
-                    return f"short gamma={gamma} for v={v}"
-            if shifted.terms != {add_prefix(g, v): c for g, c in base.terms.items()}:
-                return f"translation failed at alpha={alpha}, beta={beta}, v={v}"
-    return None if compared else NOTHING_COMPARED
+                yield len(gamma) >= len(v), True, "short gamma={} for v={}", (gamma, v)
+            yield (shifted.terms, {add_prefix(g, v): c for g, c in base.terms.items()},
+                   "translation failed at alpha={}, beta={}, v={}", (alpha, beta, v))
 
 
+@_sweep
 def sweep_lr_partition(max_size):
     """Every oracle coefficient with a partition right factor equals the
     immaculate Yamanouchi tableau count (hence is nonnegative), for
@@ -147,15 +161,9 @@ def sweep_lr_partition(max_size):
     for alpha, lam in _pairs(max_size, partitions_of):
         expansion = product_in_S_oracle(alpha, lam)
         for gamma in compositions_of(sum(alpha) + sum(lam)):
-            got = expansion.coefficient(gamma)
-            want = count_immaculate_LR(alpha, lam, gamma)
-            if got != want:
-                return (
-                    "LR count mismatch at "
-                    f"alpha={alpha}, lam={lam}, gamma={gamma}: "
-                    f"oracle {got} vs count {want}"
-                )
-    return None
+            yield (expansion.coefficient(gamma), count_immaculate_LR(alpha, lam, gamma),
+                   "LR count mismatch at alpha={}, lam={}, gamma={}: "
+                   "oracle {got} vs count {want}", (alpha, lam, gamma))
 
 
 def _straighten(t, beta, memo):
@@ -166,6 +174,7 @@ def _straighten(t, beta, memo):
     return y_rows, sigma, nefarious_cells(y_rows)
 
 
+@_sweep
 def sweep_involution(max_size):
     """Involution, shape preservation, sign reversal, and the left-most
     nefarious cell characterization, over the whole family for every
@@ -173,108 +182,78 @@ def sweep_involution(max_size):
 
     Each family member is straightened once; ``phi_r`` runs on the memoised
     image, and a fixed point needs no second application."""
-    compared = 0
+    not_involution = "phi_{} not an involution at alpha={}, beta={}, T={}"
     for alpha, beta in _pairs(max_size, compositions_of):
         memo = {}  # one family at a time
         for t, _ in enumerate_T_alpha_beta(alpha, beta):
             y_rows, sigma, cells = _straighten(t, beta, memo)
             shape = t.shape_composition()
             for r in range(1, len(alpha) + len(beta) + 1):
-                compared += 1
+                at = (r, alpha, beta, t.rows)
                 image = phi_on_image(t, beta, y_rows, sigma, cells, r)
-                if image == t:
+                if image == t:  # a fixed point is its own partner
+                    yield image, t, not_involution, at
                     continue
                 image_rows, image_sigma, image_cells = _straighten(image, beta, memo)
-                if phi_on_image(image, beta, image_rows, image_sigma,
-                                image_cells, r) != t:
-                    return (
-                        f"phi_{r} not an involution at "
-                        f"alpha={alpha}, beta={beta}, T={t.rows}"
-                    )
-                if image.shape_composition() != shape:
-                    return (
-                        f"phi_{r} changed the shape at "
-                        f"alpha={alpha}, beta={beta}, T={t.rows}"
-                    )
-                if image_sigma.sign != -sigma.sign:
-                    return (
-                        f"phi_{r} kept the sign at "
-                        f"alpha={alpha}, beta={beta}, T={t.rows}"
-                    )
+                yield (phi_on_image(image, beta, image_rows, image_sigma, image_cells, r),
+                       t, not_involution, at)
+                yield (image.shape_composition(), shape,
+                       "phi_{} changed the shape at alpha={}, beta={}, T={}", at)
+                yield (image_sigma.sign, -sigma.sign,
+                       "phi_{} kept the sign at alpha={}, beta={}, T={}", at)
                 # acting cell must be the left-most nefarious
                 row_cells = [x for x in cells if x.row == r]
-                if not row_cells:
-                    return (
-                        f"phi_{r} moved without nefarious cells at "
-                        f"alpha={alpha}, beta={beta}, T={t.rows}"
-                    )
+                yield (bool(row_cells), True, "phi_{} moved without nefarious cells "
+                       "at alpha={}, beta={}, T={}", at)
                 swapped = theta_x(y_rows, row_cells[0])
                 flipped = Permutation.transposition(len(beta), r - 1).compose(sigma)
-                cand = y_inverse(swapped, flipped, alpha)
-                if cand != image:
-                    return (
-                        "acting cell is not the left-most "
-                        f"nefarious cell at alpha={alpha}, "
-                        f"beta={beta}, T={t.rows}, r={r}"
-                    )
-    return None if compared else NOTHING_COMPARED
+                yield (y_inverse(swapped, flipped, alpha), image,
+                       "acting cell is not the left-most nefarious cell at "
+                       "alpha={1}, beta={2}, T={3}, r={0}", at)
 
 
+@_sweep
 def sweep_saturation_sym(max_size):
     """Saturation holds for Schur structure constants, scaled by N = 2, for
     |lam| <= max_size."""
     for mu, nu, lam in _partition_triples(max_size):
-        if not saturation_check_sym(mu, nu, lam, 2):
-            return (
-                "symmetric saturation failed at "
-                f"mu={mu}, nu={nu}, lam={lam}, N=2"
-            )
-    return None
+        yield (saturation_check_sym(mu, nu, lam, 2), True,
+               "symmetric saturation failed at mu={}, nu={}, lam={}, N=2", (mu, nu, lam))
 
 
 COUNTEREXAMPLE = ((1, 1), (3, 2, 2), (3, 3, 1, 1, 1), 2)
 
 
-def sweep_saturation_nsym():
-    """Confirm the documented failure of saturation for immaculate constants.
-
-    Returns None when the counterexample is reproduced exactly (base
-    coefficient 0, scaled coefficient 1); otherwise a witness string.
-    """
+@_sweep
+def sweep_saturation_nsym(max_size):
+    """Confirm the documented failure of saturation for immaculate constants:
+    the counterexample's coefficient is 0, and 1 once scaled.  One fixed
+    instance, so ``max_size`` does not apply."""
     alpha, beta, gamma, N = COUNTEREXAMPLE
     base = count_immaculate_LR(alpha, beta, gamma)
     scaled = count_immaculate_LR(scale(alpha, N), scale(beta, N), scale(gamma, N))
-    if base != 0 or scaled != 1:
-        return (
-            f"expected coefficients (0, 1) at the counterexample, got "
-            f"({base}, {scaled})"
-        )
-    return None
+    yield ((base, scaled), (0, 1),
+           "expected coefficients {want} at the counterexample, got {got}", ())
 
 
+@_sweep
 def sweep_chi(max_size):
     """The forgetful projection sends the Schur-like basis at a partition
     index of size <= max_size to the Schur function."""
     for n in range(max_size + 1):
         for lam in partitions_of(n):
-            if forgetful_chi(immaculate_to_H(lam)) != schur_to_h(lam):
-                return f"chi mismatch at lam={lam}"
-    return None
+            yield (forgetful_chi(immaculate_to_H(lam)), schur_to_h(lam),
+                   "chi mismatch at lam={}", (lam,))
 
 
+@_sweep
 def sweep_lr_classical(max_size):
     """Tableau-count and algebraic Littlewood-Richardson routes agree for
     |lam| <= max_size."""
     for mu, nu, lam in _partition_triples(max_size):
-        got = lr_coefficient_algebra(mu, nu, lam)
-        want = lr_coefficient_tableau(mu, nu, lam)
-        if got != want:
-            return (
-                "classical LR mismatch at "
-                f"mu={mu}, nu={nu}, lam={lam}: "
-                f"algebra {got} vs tableau {want}"
-            )
-    return None
+        yield (lr_coefficient_algebra(mu, nu, lam), lr_coefficient_tableau(mu, nu, lam),
+               "classical LR mismatch at mu={}, nu={}, lam={}: "
+               "algebra {got} vs tableau {want}", (mu, nu, lam))
 
 
 # sweeps are looked up at call time, so a rebinding of their names reaches them
@@ -286,7 +265,7 @@ SUITES = {
     "lr-partition": lambda max_size: sweep_lr_partition(max_size),
     "involution": lambda max_size: sweep_involution(max_size),
     "saturation-sym": lambda max_size: sweep_saturation_sym(max_size),
-    "saturation-nsym": lambda max_size: sweep_saturation_nsym(),
+    "saturation-nsym": lambda max_size: sweep_saturation_nsym(max_size),
     "chi": lambda max_size: sweep_chi(max_size),
     "lr-classical": lambda max_size: sweep_lr_classical(max_size),
 }

@@ -1,6 +1,7 @@
 """No dead code in the package: every import a module makes is used in it,
-and every private module-level function is referenced somewhere in the
-package.  ``__init__.py`` only re-exports, so it is left out."""
+every private module-level function is referenced somewhere in the
+package, and every public one somewhere in the package, the tests or the
+benchmark harness.  ``__init__.py`` only re-exports, so it is left out."""
 
 import ast
 from pathlib import Path
@@ -55,18 +56,34 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_no_unreferenced_private_functions():
+def unreferenced_functions(wanted, outside=()):
+    """Module-level functions of the package whose name passes ``wanted``
+    and that nothing refers to but their own definition: no other part of
+    their module, no other module and no tree in ``outside``."""
     trees = {path.name: parse(path) for path in MODULES}
-    unreferenced = []
+    used = {name: names_used([tree]) for name, tree in trees.items()}
+    used_outside = names_used(outside)
+    found = []
     for name, tree in trees.items():
+        others = used_outside.union(*(u for other, u in used.items() if other != name))
         for node in tree.body:
-            if not (isinstance(node, ast.FunctionDef)
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")):
+            if not (isinstance(node, ast.FunctionDef) and wanted(node.name)):
                 continue
-            # references outside the function's own body
-            elsewhere = [n for n in tree.body if n is not node]
-            others = [t for other, t in trees.items() if other != name]
-            if node.name not in names_used(elsewhere + others):
-                unreferenced.append(f"{name}: {node.name}")
-    assert unreferenced == []
+            elsewhere = names_used(n for n in tree.body if n is not node)
+            if node.name not in others | elsewhere:
+                found.append(f"{name}: {node.name}")
+    return found
+
+
+def test_no_unreferenced_private_functions():
+    assert unreferenced_functions(
+        lambda name: name.startswith("_") and not name.startswith("__")) == []
+
+
+def test_no_unreferenced_public_functions():
+    # a public helper counts as used when the package, its tests or the
+    # benchmark harness refer to it; the re-exports in __init__ do not count
+    repo = Path(__file__).resolve().parent.parent
+    outside = [parse(p) for folder in ("tests", "perfbench")
+               for p in sorted((repo / folder).glob("*.py"))]
+    assert unreferenced_functions(lambda name: not name.startswith("_"), outside) == []

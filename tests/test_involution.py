@@ -39,6 +39,17 @@ def test_y_inverse_round_trip_worked_example():
     assert y_inverse(rows, sigma, (1, 2)) == T_WORKED
 
 
+@pytest.mark.parametrize("rows,alpha,message", [
+    (((1, 1), (3,)), (1, 2), "expected 3 rows, got 2"),
+    (((1, 1), (3,), (2, 0, 3)), (1, 2), "bad row index 0 in straightened rows"),
+    (((1, 1), (-1,), (0,)), (1, 2), "bad row index -1 in straightened rows"),
+    (((1, 1), (3,), (1, 2, 3)), (1, 0), "composition"),
+])
+def test_y_inverse_checks_its_arguments(rows, alpha, message):
+    with pytest.raises(PreconditionError, match=message):
+        y_inverse(rows, Permutation((1, 3, 2)), alpha)
+
+
 def test_y_round_trip_whole_family():
     for alpha in [(1,), (1, 2), (2, 1)]:
         for beta in [(1, 1), (2, 2), (1, 2)]:
