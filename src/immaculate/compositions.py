@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from math import comb, prod
 from operator import add
 from typing import Iterator
@@ -214,9 +214,12 @@ class Permutation:
     images: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise PreconditionError(f"not a permutation: {self.images!r}")
+        images = tuple(self.images)
+        object.__setattr__(self, "images", images)
+        # type(i) is int: True == 1, but a bool is no image
+        if (not all(type(i) is int for i in images)
+                or sorted(images) != list(range(1, len(images) + 1))):
+            raise PreconditionError(f"not a permutation: {images!r}")
 
     @cached_property
     def sign(self) -> int:
@@ -260,10 +263,14 @@ class Permutation:
         return _permutation(tuple(images))
 
 
-def _permutation(images: tuple) -> Permutation:
-    """A permutation whose images the package built itself: no check."""
+def _permutation(images: tuple, sign: int | None = None) -> Permutation:
+    """A permutation whose images the package built itself: no check.  A
+    ``sign`` the caller already knows is stored, so ``sign`` is never
+    computed from the cycles."""
     p = object.__new__(Permutation)
     p.__dict__["images"] = images
+    if sign is not None:
+        p.__dict__["sign"] = sign
     return p
 
 
@@ -276,13 +283,20 @@ def permutation_floors(alpha) -> tuple:
 @lru_cache(maxsize=None)
 def permutations(m: int, floors=()) -> tuple:
     """The permutations sigma of {1..m} with sigma_i >= floors[i-1], in
-    lexicographic order; positions past the end of ``floors`` are unbounded.
+    lexicographic order, each with its sign stored; positions past the end
+    of ``floors`` are unbounded.
 
     Positions are filled in order of decreasing floor.  A value that clears
     one floor clears every later, lower one, so every partial filling
     completes and the cost follows the number of survivors, not m!.  The
     position filled t-th (from 0) has m + 1 - max(floor, 1) - t choices, so
     the number of survivors is known, and checked, before any is made.
+
+    The value taken at a step is larger than exactly j of the values still
+    free, j its rank among them, and each of those is placed later: read in
+    filling order, sigma has sum(j) inversions.  So sign(sigma) is the sign
+    of the filling order times (-1)^sum(j), carried along as the positions
+    are filled.
     """
     if m < 0:
         raise PreconditionError(f"m must be >= 0, got {m}")
@@ -293,21 +307,34 @@ def permutations(m: int, floors=()) -> tuple:
     survivors = prod(max(0, m + 1 - max(floors[i], 1) - t)
                      for t, i in enumerate(order))
     check_enumeration(f"surviving permutations of S_{m}", survivors)
+    if not survivors:
+        return ()
+    if not m:
+        return (_permutation((), 1),)
     images = [0] * m
     found = []
+    last = m - 1
 
-    def fill(t, free):
-        if t == m:
-            found.append(tuple(images))
-            return
+    def fill(t, free, sign):
         i = order[t]
+        if t == last:
+            # with survivors, the one value left clears the lowest floor
+            images[i] = free[0]
+            found.append((tuple(images), sign))
+            return
         for j in range(bisect_left(free, floors[i]), len(free)):
             images[i] = free[j]
-            fill(t + 1, free[:j] + free[j + 1:])
+            fill(t + 1, free[:j] + free[j + 1:], -sign if j & 1 else sign)
 
-    fill(0, tuple(range(1, m + 1)))
+    fill(0, tuple(range(1, m + 1)), _inversion_sign(order))
     found.sort()
-    return tuple(_permutation(images) for images in found)
+    return tuple(_permutation(images, sign) for images, sign in found)
+
+
+def _inversion_sign(word) -> int:
+    """(-1) to the number of inversions of ``word``."""
+    inversions = sum(a > b for a, b in combinations(word, 2))
+    return -1 if inversions % 2 else 1
 
 
 def shifted_entries(alpha) -> Iterator[tuple]:

@@ -11,7 +11,6 @@ from .compositions import (
     check_composition,
     check_enumeration,
     check_partition,
-    grlex_key,
 )
 from .errors import PreconditionError
 
@@ -166,27 +165,36 @@ def triangular_inverse(f: LinComb, expand, basis: str) -> LinComb:
 
     ``expand(index)`` is the target basis element at ``index`` written in
     ``f``'s basis: coefficient 1 at ``index`` itself and every other index
-    strictly larger in graded-lex order.  Repeatedly extract the
-    graded-lex-smallest surviving term; its coefficient is the coefficient
-    of that target basis element.
+    strictly larger in graded-lex order, all of the degree of ``index``
+    (homogeneous).  Repeatedly extract the graded-lex-smallest surviving
+    term; its coefficient is the coefficient of that target basis element.
 
-    Each step scans the surviving terms and applies one expansion; the
-    terms visited so far are counted against ENUMERATION_LIMIT.
+    By homogeneity an expansion never leaves its degree, so the terms of
+    each degree are eliminated on their own, lowest degree first, and
+    within one degree graded-lex order is plain tuple order.
+
+    Each step scans the surviving terms of its degree and applies one
+    expansion; the terms visited so far are counted against
+    ENUMERATION_LIMIT.  On homogeneous ``f`` that is every surviving term.
     """
-    remaining = dict(f.terms)
+    by_degree = {}
+    for idx, c in f.terms.items():
+        by_degree.setdefault(sum(idx), {})[idx] = c
     out = {}
     what, visited = f"terms in elimination to {basis}", 0
-    while remaining:
-        visited += len(remaining)
-        check_enumeration(what, visited)
-        index = min(remaining, key=grlex_key)
-        c = out[index] = remaining[index]
-        terms = expand(index).terms
-        visited += len(terms)
-        for idx, cc in terms.items():
-            val = remaining.get(idx, 0) - c * cc
-            if val:
-                remaining[idx] = val
-            else:
-                remaining.pop(idx, None)
+    for degree in sorted(by_degree):
+        remaining = by_degree[degree]
+        while remaining:
+            visited += len(remaining)
+            check_enumeration(what, visited)
+            index = min(remaining)
+            c = out[index] = remaining[index]
+            terms = expand(index).terms
+            visited += len(terms)
+            for idx, cc in terms.items():
+                val = remaining.get(idx, 0) - c * cc
+                if val:
+                    remaining[idx] = val
+                else:
+                    remaining.pop(idx, None)
     return _built(basis, out)

@@ -30,6 +30,7 @@ def translation_reduce(alpha, beta, gamma, v):
     """Strip the prefix ``v`` from alpha and gamma; the structure constant of
     the reduced triple equals that of the original."""
     alpha = check_composition(alpha)
+    beta = check_composition(beta)
     gamma = check_composition(gamma)
     v = check_composition(v)
     if len(v) > len(alpha):
@@ -40,7 +41,7 @@ def translation_reduce(alpha, beta, gamma, v):
     new_gamma = tuple(g - w for g, w in zip(gamma, v)) + gamma[len(v):]
     if any(p <= 0 for p in new_alpha) or any(p <= 0 for p in new_gamma):
         raise PreconditionError(f"shift {v!r} does not fit inside {alpha!r}/{gamma!r}")
-    return new_alpha, tuple(beta), new_gamma
+    return new_alpha, beta, new_gamma
 
 
 def sgn(d) -> int:
@@ -64,6 +65,9 @@ def z_membership(delta, beta) -> bool:
     n = len(beta)
     if len(delta) != n + 1:
         raise PreconditionError(f"delta has {len(delta)} entries, want {n + 1}")
+    # type(d) is int: a bool is an int too, but no row length
+    if not all(type(d) is int for d in delta):
+        raise PreconditionError(f"delta entries must be integers: {delta!r}")
     if delta[0] < 1 or any(d < 0 for d in delta):
         raise PreconditionError(f"need delta_1 >= 1 and no negative entry: {delta!r}")
     return _z_member(delta, beta)
@@ -155,6 +159,10 @@ def zero_insertion_sign_sum(beta, gamma) -> int:
 def left_pieri_coefficient(s: int, beta, gamma) -> int:
     """Coefficient of S_gamma in H_s * S_beta for s >= 1: 0 when gamma_1 < s,
     else the closed-form value at gamma with its first part reduced by s - 1."""
+    if s < 1:
+        raise PreconditionError(f"s must be >= 1, got {s}")
+    beta = check_composition(beta)
+    gamma = check_composition(gamma)
     if not gamma or gamma[0] < s:
         return 0
     return left_pieri_unit_coefficient(beta, (gamma[0] - s + 1,) + gamma[1:])

@@ -232,6 +232,43 @@ def test_permutation_rejects_non_bijection():
         Permutation((1, 1, 2))
 
 
+@pytest.mark.parametrize("images", [(True, 2), (2, True), (1.0, 2), (False,)])
+def test_permutation_rejects_non_int_images(images):
+    # True == 1 and 1.0 == 1, but neither is an image
+    with pytest.raises(PreconditionError, match="not a permutation"):
+        Permutation(images)
+
+
+def assert_signs_stored_and_walked(built, walked):
+    for p in built:
+        assert "sign" in vars(p), p.images
+        assert p.sign == walked[p.images], p.images
+
+
+def test_permutations_store_the_walked_sign_under_every_floors():
+    # the sign is carried through the filling, whose order the floors fix:
+    # for m <= 5 every floors vector of every length with entries 0..m+1
+    # (0 and 1 bound nothing but order the filling differently), for m = 6
+    # every full-length one with entries 1..6; built uncached
+    build = permutations.__wrapped__
+    for m in range(7):
+        walked = {p: Permutation(p).sign for p in itertools.permutations(range(1, m + 1))}
+        lengths, entries = (range(m + 1), range(m + 2)) if m < 6 else ((m,), range(1, m + 1))
+        for length in lengths:
+            for floors in itertools.product(entries, repeat=length):
+                assert_signs_stored_and_walked(build(m, floors), walked)
+
+
+def test_permutations_store_the_walked_sign_under_composition_floors():
+    permutations.cache_clear()
+    for n in range(11):
+        for alpha in compositions_of(n):
+            built = permutations(len(alpha), permutation_floors(alpha))
+            walked = {p.images: Permutation(p.images).sign for p in built}
+            assert_signs_stored_and_walked(built, walked)
+    permutations.cache_clear()
+
+
 def test_compositions_of_counts():
     for n in range(1, 8):
         assert sum(1 for _ in compositions_of(n)) == 2 ** (n - 1)

@@ -96,6 +96,22 @@ def test_elimination_counts_visited_terms(monkeypatch):
         H_to_immaculate(H(1, 1, 1))
 
 
+def test_elimination_of_mixed_degrees_is_the_sum_of_its_monomials():
+    f = H(1, 1) + H(3) + H(1, 2, 1)
+    want = sum((H_to_immaculate(H(*idx)) for idx in f.terms), LinComb.zero("S"))
+    assert H_to_immaculate(f) == want
+    assert H_to_immaculate(H(2) - 3 * H(1, 1, 1, 1) + H()) == \
+        H_to_immaculate(H(2)) - 3 * H_to_immaculate(H(1, 1, 1, 1)) + LinComb.monomial("S", ())
+
+
+def test_immaculate_to_H_is_homogeneous():
+    # the elimination eliminates one degree at a time: every expansion it
+    # applies must stay in the degree of its index
+    for n in range(9):
+        for alpha in compositions_of(n):
+            assert {sum(idx) for idx in immaculate_to_H(alpha).terms} == {n}, alpha
+
+
 def test_round_trip_on_basis():
     for n in range(7):
         for alpha in compositions_of(n):

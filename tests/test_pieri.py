@@ -71,6 +71,13 @@ def test_z_membership_checks_its_arguments(delta, beta, message):
         z_membership(delta, beta)
 
 
+@pytest.mark.parametrize("delta", [(True, 1), (2, True), (2, 1.0), (2.0, 1)])
+def test_z_membership_rejects_non_int_entries(delta):
+    # True == 1, but a bool is no row length
+    with pytest.raises(PreconditionError, match="delta entries must be integers"):
+        z_membership(delta, (1,))
+
+
 def test_unit_coefficient_longer_shape():
     # candidate passes and the sign counts one negative entry
     assert left_pieri_unit_coefficient((3, 1, 4), (2, 3, 2, 2)) == -1
@@ -130,6 +137,25 @@ def test_left_pieri_matches_single_coefficient_route():
                             left_pieri_coefficient(s, beta, gamma), (s, beta, gamma)
 
 
+@pytest.mark.parametrize("s", [0, -1])
+def test_left_pieri_coefficient_rejects_s_below_one(s):
+    # H_0 = 1, so H_0 * S_(1,2) = S_(1,2): the closed form has no answer 0 here
+    with pytest.raises(PreconditionError, match=f"s must be >= 1, got {s}"):
+        left_pieri_coefficient(s, (1, 2), (1, 2))
+
+
+@pytest.mark.parametrize("beta,gamma", [
+    ((1,), (0,)),
+    ((0,), (2,)),
+    ((1,), (1, -1)),
+    ((True,), (2,)),
+], ids=["gamma-zero", "beta-zero", "gamma-negative", "beta-bool"])
+def test_left_pieri_coefficient_checks_beta_and_gamma(beta, gamma):
+    # checked before the answer 0 for gamma_1 < s is given
+    with pytest.raises(PreconditionError, match="not a composition"):
+        left_pieri_coefficient(1, beta, gamma)
+
+
 LIMIT = "immaculate.compositions.ENUMERATION_LIMIT"
 
 
@@ -182,6 +208,12 @@ def test_translation_reduce_rejects_bad_shift():
         translation_reduce((1,), (2,), (3,), (1,))  # would empty a part
     with pytest.raises(PreconditionError):
         translation_reduce((2,), (2,), (4,), (1, 1))  # prefix too long
+
+
+def test_translation_reduce_checks_beta():
+    with pytest.raises(PreconditionError, match="not a composition"):
+        translation_reduce((2,), (0, -1), (3,), (1,))
+    assert translation_reduce([2], [1, 2], [3], [1]) == ((1,), (1, 2), (2,))
 
 
 def test_translation_invariance_of_constants():

@@ -22,6 +22,13 @@ def test_schur_to_h_small():
     assert schur_to_h(()) == LinComb.monomial("h", ())
 
 
+def test_schur_to_h_is_homogeneous():
+    # h_to_schur, like H_to_immaculate, eliminates one degree at a time
+    for n in range(9):
+        for lam in partitions_of(n):
+            assert {sum(idx) for idx in schur_to_h(lam).terms} == {n}, lam
+
+
 def test_schur_to_h_rejects_composition():
     with pytest.raises(PreconditionError):
         schur_to_h((1, 2))
