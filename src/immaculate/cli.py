@@ -16,7 +16,9 @@ from .linear import LinComb, linear_sum
 from .nsym import (
     H_to_immaculate,
     forgetful_chi,
+    h_multiply,
     immaculate_comb_to_H,
+    immaculate_to_H,
     product_in_S_oracle,
     structure_constant,
 )
@@ -80,12 +82,6 @@ def emit_combination(f: LinComb, fmt: str):
     print(f.to_json() if fmt == "json" else str(f))
 
 
-def _as_S(basis: str, index: tuple) -> LinComb:
-    if basis == "S":
-        return LinComb.monomial("S", index)
-    return H_to_immaculate(LinComb.monomial("H", index))
-
-
 def _single_part(alpha) -> int:
     """The part of a single-part left factor, which the closed form needs."""
     if len(alpha) != 1:
@@ -98,7 +94,12 @@ def _single_part(alpha) -> int:
 def cmd_product(args) -> int:
     lbasis, left = parse_basis_index(args.left)
     rbasis, right = parse_basis_index(args.right)
-    # every route multiplies two S basis elements; H factors are expanded in S
+    if args.method == "oracle" and "H" in (lbasis, rbasis):
+        # one product in H and one elimination, not one per pair of S terms
+        fl, fr = (LinComb.monomial("H", i) if b == "H" else immaculate_to_H(i)
+                  for b, i in ((lbasis, left), (rbasis, right)))
+        emit_combination(H_to_immaculate(h_multiply(fl, fr)), args.format)
+        return EXIT_OK
     route = product_in_S_oracle
     if args.method == "tableau":
         if lbasis != "S" or rbasis != "S":
@@ -112,7 +113,8 @@ def cmd_product(args) -> int:
 
         def route(a, b):
             return left_pieri(a[0], b) if a else LinComb.monomial("S", b)
-    fl, fr = _as_S(lbasis, left), _as_S(rbasis, right)
+    # both factors are S now, or the left one is H_s = S_(s) for the closed form
+    fl, fr = LinComb.monomial("S", left), LinComb.monomial("S", right)
     result = linear_sum("S", ((ca * cb, route(a, b))
                               for a, ca in fl.items() for b, cb in fr.items()))
     emit_combination(result, args.format)

@@ -33,10 +33,11 @@ def y_map(t: SkewTableau, beta):
         raise PreconditionError("tableau is not in the family for this beta")
     m = len(beta)
     rows = [[] for _ in range(m)]
+    # rows of t are read top to bottom, so each image row fills in order
     for i, row in enumerate(t.rows, 1):
         for r in row:
             rows[sigma(r) - 1].append(i)
-    return tuple(tuple(sorted(row)) for row in rows), sigma
+    return tuple(map(tuple, rows)), sigma
 
 
 def y_inverse(t_rows: Rows, sigma: Permutation, alpha) -> SkewTableau:
@@ -109,8 +110,7 @@ def phi_r(t: SkewTableau, beta, r: int) -> SkewTableau:
     """
     if r < 1:
         raise PreconditionError(f"row index must be >= 1, got {r}")
-    beta = check_composition(beta)
-    y_rows, sigma = y_map(t, beta)
+    y_rows, sigma = y_map(t, beta)  # checks beta
     return phi_on_image(t, beta, y_rows, sigma, nefarious_cells(y_rows), r)
 
 
@@ -126,9 +126,10 @@ def phi_on_image(t: SkewTableau, beta, y_rows: Rows, sigma: Permutation,
     new_sigma = Permutation.transposition(len(beta), r - 1).compose(sigma)
     for x in row_cells:
         candidate = y_inverse(_swap_tails(y_rows, x), new_sigma, t.inner)
+        # y_inverse sorts every row and t is immaculate, so keeping t's first
+        # column keeps the candidate immaculate; sigma is not implied
         if (
-            is_immaculate(candidate)
-            and candidate.first_column() == t.first_column()
+            candidate.first_column() == t.first_column()
             and _sigma_of(candidate, beta) == new_sigma
         ):
             return candidate

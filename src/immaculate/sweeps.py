@@ -18,7 +18,7 @@ from .compositions import (
     partitions_of,
     scale,
 )
-from .involution import nefarious_cells, phi_on_image, theta_x, y_inverse, y_map
+from .involution import _swap_tails, nefarious_cells, phi_on_image, y_inverse, y_map
 from .linear import LinComb
 from .nsym import (
     H_to_immaculate,
@@ -167,11 +167,11 @@ def sweep_lr_partition(max_size):
 
 
 def _straighten(t, beta, memo):
-    """``y_map(t, beta)``, memoised, and the nefarious cells of the image."""
+    """``y_map(t, beta)`` and the nefarious cells of the image, memoised."""
     if t not in memo:
-        memo[t] = y_map(t, beta)
-    y_rows, sigma = memo[t]
-    return y_rows, sigma, nefarious_cells(y_rows)
+        y_rows, sigma = y_map(t, beta)
+        memo[t] = y_rows, sigma, nefarious_cells(y_rows)
+    return memo[t]
 
 
 @_sweep
@@ -180,8 +180,9 @@ def sweep_involution(max_size):
     nefarious cell characterization, over the whole family for every
     |alpha| + |beta| <= max_size.
 
-    Each family member is straightened once; ``phi_r`` runs on the memoised
-    image, and a fixed point needs no second application."""
+    Each family member is straightened and scanned for nefarious cells
+    once; ``phi_r`` runs on the memoised image, and a fixed point needs no
+    second application."""
     not_involution = "phi_{} not an involution at alpha={}, beta={}, T={}"
     for alpha, beta in _pairs(max_size, compositions_of):
         memo = {}  # one family at a time
@@ -205,7 +206,7 @@ def sweep_involution(max_size):
                 row_cells = [x for x in cells if x.row == r]
                 yield (bool(row_cells), True, "phi_{} moved without nefarious cells "
                        "at alpha={}, beta={}, T={}", at)
-                swapped = theta_x(y_rows, row_cells[0])
+                swapped = _swap_tails(y_rows, row_cells[0])  # a cell of the scan
                 flipped = Permutation.transposition(len(beta), r - 1).compose(sigma)
                 yield (y_inverse(swapped, flipped, alpha), image,
                        "acting cell is not the left-most nefarious cell at "

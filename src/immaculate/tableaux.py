@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import lt, sub
 
 from .compositions import (
@@ -64,12 +63,9 @@ class SkewTableau:
         return self.inner[row - 1] if row <= len(self.inner) else 0
 
     def first_column(self) -> tuple:
-        """Entries actually occupying column 1, top to bottom."""
-        return tuple(
-            row[0]
-            for r, row in enumerate(self.rows, 1)
-            if self.inner_at(r) == 0 and row
-        )
+        """Entries actually occupying column 1, top to bottom: inner parts
+        are positive, so only rows below the inner shape start there."""
+        return tuple(row[0] for row in self.rows[len(self.inner):] if row)
 
 
 def _tableau(inner: tuple, rows: tuple) -> SkewTableau:
@@ -217,9 +213,8 @@ def enumerate_skew_immaculate(
         visited += 1
         check_enumeration("partial tableaux", visited)
         if shape is not None:
-            if r > len(shape):
-                if all(c == 0 for c in remaining):
-                    results.append(_tableau(inner, tuple(rows)))
+            if r > len(shape):  # the rows' fixed sizes used up the content
+                results.append(_tableau(inner, tuple(rows)))
                 return
             size = shape[r - 1] - pad[r]
         else:
@@ -291,7 +286,6 @@ def enumerate_T_alpha_beta(
     return out
 
 
-@lru_cache(maxsize=None)
 def signed_product(alpha, beta) -> LinComb:
     """S_alpha * S_beta via the signed sum over permutations of iterated
     right Pieri steps whose sizes are the shifted entries of beta

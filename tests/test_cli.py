@@ -10,7 +10,10 @@ import pytest
 
 from immaculate import cli
 from immaculate.cli import main, parse_basis_index, parse_composition, parse_vector
+from immaculate.compositions import compositions_of
 from immaculate.errors import PreconditionError
+from immaculate.linear import LinComb, linear_sum
+from immaculate.nsym import H_to_immaculate, product_in_S_oracle
 from immaculate.tableaux import SkewTableau, is_semistandard, is_yamanouchi
 
 
@@ -443,3 +446,52 @@ def test_installed_entry_point():
     proc = run_child("coeff", "-a", "2", "-b", "2,4", "-g", "3,1,4")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+def _in_S(basis, index):
+    f = LinComb.monomial(basis, index)
+    return f if basis == "S" else H_to_immaculate(f)
+
+
+def test_oracle_product_with_an_h_factor_matches_the_pair_loop(capsys):
+    # reference: each factor expanded in S, one oracle product per pair of terms
+    compared = 0
+    for n in range(6):
+        for a in range(n + 1):
+            for left in compositions_of(a):
+                for right in compositions_of(n - a):
+                    for lbasis, rbasis in (("H", "S"), ("S", "H"), ("H", "H")):
+                        fl, fr = _in_S(lbasis, left), _in_S(rbasis, right)
+                        want = linear_sum("S", (
+                            (ca * cb, product_in_S_oracle(x, y))
+                            for x, ca in fl.items() for y, cb in fr.items()))
+                        code, out, err = run(
+                            capsys, "product",
+                            "--left", f"{lbasis}:{','.join(map(str, left)) or 0}",
+                            "--right", f"{rbasis}:{','.join(map(str, right)) or 0}")
+                        assert (code, out, err) == (0, f"{want}\n", ""), (left, right)
+                        compared += 1
+    assert compared == 3 * 112
+
+
+def test_oracle_product_with_an_h_factor_multiplies_in_H(capsys, monkeypatch):
+    calls = []
+    oracle = cli.product_in_S_oracle
+    monkeypatch.setattr(cli, "product_in_S_oracle",
+                        lambda a, b: calls.append((a, b)) or oracle(a, b))
+    for left, right in (("H:2,1", "S:1,2"), ("S:2,1", "H:1,2"), ("H:1,1,1", "H:1,2")):
+        assert run(capsys, "product", "--left", left, "--right", right)[0] == 0
+    assert calls == []
+    # two S factors still take the oracle
+    assert run(capsys, "product", "--left", "S:2,1", "--right", "S:1,2")[0] == 0
+    assert calls == [((2, 1), (1, 2))]
+
+
+def test_oracle_product_of_h_factors_is_one_bounded_elimination(capsys, monkeypatch):
+    # H_(1^7) * H_(1^7) = H_(1^14); expanding each factor in S first made
+    # 64 * 64 oracle products, each under the limit, and ran for minutes
+    monkeypatch.setattr("immaculate.compositions.ENUMERATION_LIMIT", 20_000)
+    ones = "H:" + ",".join(["1"] * 7)
+    code, out, err = run(capsys, "product", "--left", ones, "--right", ones)
+    assert (code, out) == (3, "")
+    assert "terms in elimination to S (limit 20000)" in err

@@ -1,5 +1,6 @@
 import pytest
 
+from immaculate import involution, sweeps
 from immaculate.compositions import Permutation, compositions_of
 from immaculate.errors import PreconditionError
 from immaculate.involution import (
@@ -13,7 +14,9 @@ from immaculate.involution import (
 )
 from immaculate.tableaux import (
     SkewTableau,
+    _sigma_of,
     enumerate_T_alpha_beta,
+    is_immaculate,
     sigma_of,
 )
 
@@ -130,3 +133,40 @@ def test_phi_r_rejects_foreign_tableau():
         phi_r(T_WORKED, (2, 2, 1), 2)
     with pytest.raises(PreconditionError):
         phi_r(T_WORKED, BETA, 0)
+
+
+def test_sweep_straightens_and_scans_each_tableau_once(monkeypatch):
+    # the families with |alpha| + |beta| <= 5 hold 2,001 tableaux; every
+    # image of phi_r is one of them
+    calls = {"y_map": 0, "nefarious_cells": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(involution, name)):
+            calls[_name] += 1
+            return _original(*args)
+        for module in (involution, sweeps):
+            monkeypatch.setattr(module, name, counted)
+    assert sweeps.sweep_involution(5) is None
+    assert calls == {"y_map": 2001, "nefarious_cells": 2001}
+
+
+def test_pull_back_keeping_the_first_column_is_immaculate():
+    # phi_on_image tests a candidate's first column and sigma, not is_immaculate
+    kept = sigma_changed = 0
+    for n in range(6):
+        for a in range(n + 1):
+            for alpha in compositions_of(a):
+                for beta in compositions_of(n - a):
+                    for t, _ in enumerate_T_alpha_beta(alpha, beta):
+                        rows, sigma = y_map(t, beta)
+                        assert all(list(row) == sorted(row) for row in rows)
+                        for x in nefarious_cells(rows):
+                            flipped = Permutation.transposition(
+                                len(beta), x.row - 1).compose(sigma)
+                            candidate = y_inverse(theta_x(rows, x), flipped, alpha)
+                            if candidate.first_column() != t.first_column():
+                                continue
+                            assert is_immaculate(candidate), (alpha, beta, t, x)
+                            kept += 1
+                            sigma_changed += _sigma_of(candidate, beta) != flipped
+    # the sigma test is not implied: it rejects some of these candidates
+    assert (kept, sigma_changed) == (3511, 645)

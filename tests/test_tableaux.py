@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -170,10 +171,8 @@ def test_signed_product_counts_right_pieri_terms(monkeypatch):
     # S_(1,1) * S_(2,2): 100 right Pieri terms over both permutations
     alpha, beta = (1, 1), (2, 2)
     monkeypatch.setattr(LIMIT, 100)
-    signed_product.cache_clear()
     assert signed_product(alpha, beta) == product_in_S_oracle(alpha, beta)
     monkeypatch.setattr(LIMIT, 99)
-    signed_product.cache_clear()
     with pytest.raises(ResourceLimitError,
                        match="100 right Pieri terms in the signed product .limit 99"):
         signed_product(alpha, beta)
@@ -215,3 +214,18 @@ def test_stretched_counterexample_counts_pairs():
     for n in range(1, 31):
         got = count_immaculate_LR(scale(alpha, n), scale(lam, n), scale(gamma, n))
         assert got == comb(n, 2), n
+
+
+def test_first_column_reads_the_rows_below_the_inner_shape():
+    def per_row(t):
+        return tuple(row[0] for r, row in enumerate(t.rows, 1)
+                     if t.inner_at(r) == 0 and row)
+
+    fillings = ((), (1,), (2, 3))
+    for size in range(4):
+        for inner in compositions_of(size):
+            for above in itertools.product(fillings, repeat=len(inner)):
+                for below in itertools.product(fillings, repeat=3):
+                    t = SkewTableau(inner, above + below)
+                    assert t.first_column() == per_row(t)
+                    assert t.first_column() == tuple(row[0] for row in below if row)
