@@ -48,16 +48,24 @@ def y_inverse(t_rows: Rows, sigma: Permutation, alpha) -> SkewTableau:
     m = len(sigma)
     if len(t_rows) != m:
         raise PreconditionError(f"expected {m} rows, got {len(t_rows)}")
-    inv = sigma.inverse()
-    n_rows = max([len(alpha)] + [max(row) for row in t_rows if row], default=len(alpha))
-    out = [[] for _ in range(n_rows)]
-    for i, row in enumerate(t_rows, 1):
-        value = inv(i)
+    for row in t_rows:
         for r in row:
             if r < 1:
                 raise PreconditionError(f"bad row index {r} in straightened rows")
+    return _y_inverse(t_rows, sigma.images, alpha)
+
+
+def _y_inverse(t_rows: Rows, images: tuple, alpha: tuple) -> SkewTableau:
+    """``y_inverse`` for arguments the package built itself, with sigma
+    given by its one-line ``images``: no check."""
+    n_rows = max([len(alpha)] + [max(row) for row in t_rows if row])
+    out = [[] for _ in range(n_rows)]
+    # entry r in row sigma(value) goes to row r; values are taken in
+    # increasing order, so every output row comes out sorted
+    for value, i in enumerate(images, 1):
+        for r in t_rows[i - 1]:
             out[r - 1].append(value)
-    return _tableau(alpha, tuple(tuple(sorted(row)) for row in out))
+    return _tableau(alpha, tuple(map(tuple, out)))
 
 
 def nefarious_cells(t_rows: Rows):
@@ -123,14 +131,18 @@ def phi_on_image(t: SkewTableau, beta, y_rows: Rows, sigma: Permutation,
     row_cells = [x for x in cells if x.row == r]
     if not row_cells:
         return t
-    new_sigma = Permutation.transposition(len(beta), r - 1).compose(sigma)
+    # s_{r-1} sigma: the values r-1 and r trade places in sigma's images
+    images = list(sigma.images)
+    i, j = images.index(r - 1), images.index(r)
+    images[i], images[j] = r, r - 1
+    images = tuple(images)
+    first_column = t.first_column()
     for x in row_cells:
-        candidate = y_inverse(_swap_tails(y_rows, x), new_sigma, t.inner)
-        # y_inverse sorts every row and t is immaculate, so keeping t's first
-        # column keeps the candidate immaculate; sigma is not implied
-        if (
-            candidate.first_column() == t.first_column()
-            and _sigma_of(candidate, beta) == new_sigma
-        ):
-            return candidate
+        candidate = _y_inverse(_swap_tails(y_rows, x), images, t.inner)
+        # every row _y_inverse builds is sorted and t is immaculate, so keeping
+        # t's first column keeps the candidate immaculate; sigma is not implied
+        if candidate.first_column() == first_column:
+            candidate_sigma = _sigma_of(candidate, beta)
+            if candidate_sigma is not None and candidate_sigma.images == images:
+                return candidate
     return t

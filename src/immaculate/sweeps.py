@@ -167,11 +167,20 @@ def sweep_lr_partition(max_size):
 
 
 def _straighten(t, beta, memo):
-    """``y_map(t, beta)`` and the nefarious cells of the image, memoised."""
-    if t not in memo:
+    """``y_map(t, beta)`` and the nefarious cells of the image, memoised by
+    ``t.rows`` (a family shares its inner shape)."""
+    if t.rows not in memo:
         y_rows, sigma = y_map(t, beta)
-        memo[t] = y_rows, sigma, nefarious_cells(y_rows)
-    return memo[t]
+        memo[t.rows] = y_rows, sigma, nefarious_cells(y_rows)
+    return memo[t.rows]
+
+
+def _phi(t, beta, r, straightened, memo):
+    """``phi_on_image`` of ``t`` at row ``r``, memoised by ``(t.rows, r)``."""
+    key = t.rows, r
+    if key not in memo:
+        memo[key] = phi_on_image(t, beta, *_straighten(t, beta, straightened), r)
+    return memo[key]
 
 
 @_sweep
@@ -181,25 +190,26 @@ def sweep_involution(max_size):
     |alpha| + |beta| <= max_size.
 
     Each family member is straightened and scanned for nefarious cells
-    once; ``phi_r`` runs on the memoised image, and a fixed point needs no
-    second application."""
+    once, and ``phi_on_image`` runs once per member and row: the image of a
+    moved tableau is a member too, so the phi_r of that image computed to
+    check the involution is reused when the image comes up itself.  A fixed
+    point needs no second application."""
     not_involution = "phi_{} not an involution at alpha={}, beta={}, T={}"
     for alpha, beta in _pairs(max_size, compositions_of):
-        memo = {}  # one family at a time
+        straightened, phis = {}, {}  # one family at a time
         for t, _ in enumerate_T_alpha_beta(alpha, beta):
-            y_rows, sigma, cells = _straighten(t, beta, memo)
+            y_rows, sigma, cells = _straighten(t, beta, straightened)
             shape = t.shape_composition()
             for r in range(1, len(alpha) + len(beta) + 1):
                 at = (r, alpha, beta, t.rows)
-                image = phi_on_image(t, beta, y_rows, sigma, cells, r)
+                image = _phi(t, beta, r, straightened, phis)
                 if image == t:  # a fixed point is its own partner
                     yield image, t, not_involution, at
                     continue
-                image_rows, image_sigma, image_cells = _straighten(image, beta, memo)
-                yield (phi_on_image(image, beta, image_rows, image_sigma, image_cells, r),
-                       t, not_involution, at)
+                yield _phi(image, beta, r, straightened, phis), t, not_involution, at
                 yield (image.shape_composition(), shape,
                        "phi_{} changed the shape at alpha={}, beta={}, T={}", at)
+                _, image_sigma, _ = _straighten(image, beta, straightened)
                 yield (image_sigma.sign, -sigma.sign,
                        "phi_{} kept the sign at alpha={}, beta={}, T={}", at)
                 # acting cell must be the left-most nefarious

@@ -149,6 +149,44 @@ def test_sweep_straightens_and_scans_each_tableau_once(monkeypatch):
     assert calls == {"y_map": 2001, "nefarious_cells": 2001}
 
 
+def test_sweep_applies_phi_once_per_tableau_and_row(monkeypatch):
+    # 7,867 (T, r) pairs in the families with |alpha| + |beta| <= 5; the
+    # phi_r of a moved tableau's image is reused when the image comes up
+    calls = 0
+    original = sweeps.phi_on_image
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+    monkeypatch.setattr(sweeps, "phi_on_image", counted)
+    assert sweeps.sweep_involution(5) is None
+    assert calls == 7867
+
+
+def pulled_back(t_rows, sigma, alpha):
+    """The definition: an entry r in row i becomes sigma^{-1}(i) in row r."""
+    inv = sigma.inverse()
+    out = [[] for _ in range(max([len(alpha)] + [max(row) for row in t_rows if row]))]
+    for i, row in enumerate(t_rows, 1):
+        for r in row:
+            out[r - 1].append(inv(i))
+    return SkewTableau(alpha, tuple(tuple(sorted(row)) for row in out))
+
+
+def test_unchecked_pull_back_matches_y_inverse():
+    for alpha, beta in sweeps._pairs(5, compositions_of):
+        for t, _ in enumerate_T_alpha_beta(alpha, beta):
+            rows, sigma = y_map(t, beta)
+            assert involution._y_inverse(rows, sigma.images, alpha) == t
+            for x in nefarious_cells(rows):
+                swapped = theta_x(rows, x)
+                flipped = Permutation.transposition(len(beta), x.row - 1).compose(sigma)
+                got = involution._y_inverse(swapped, flipped.images, alpha)
+                assert got == y_inverse(swapped, flipped, alpha)
+                assert got == pulled_back(swapped, flipped, alpha)
+
+
 def test_pull_back_keeping_the_first_column_is_immaculate():
     # phi_on_image tests a candidate's first column and sigma, not is_immaculate
     kept = sigma_changed = 0
