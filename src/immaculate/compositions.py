@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from itertools import chain
 from math import comb, prod
 from operator import add
 from typing import Iterator
@@ -326,15 +326,9 @@ def permutations(m: int, floors=()) -> tuple:
             images[i] = free[j]
             fill(t + 1, free[:j] + free[j + 1:], -sign if j & 1 else sign)
 
-    fill(0, tuple(range(1, m + 1)), _inversion_sign(order))
+    fill(0, tuple(range(1, m + 1)), _permutation(tuple(i + 1 for i in order)).sign)
     found.sort()
     return tuple(_permutation(images, sign) for images, sign in found)
-
-
-def _inversion_sign(word) -> int:
-    """(-1) to the number of inversions of ``word``."""
-    inversions = sum(a > b for a, b in combinations(word, 2))
-    return -1 if inversions % 2 else 1
 
 
 def shifted_entries(alpha) -> Iterator[tuple]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .compositions import Permutation, check_composition
 from .errors import PreconditionError
-from .tableaux import SkewTableau, _sigma_of, _tableau, is_immaculate, sigma_of
+from .tableaux import SkewTableau, _tableau, is_immaculate, sigma_of
 
 Rows = tuple
 
@@ -50,7 +50,7 @@ def y_inverse(t_rows: Rows, sigma: Permutation, alpha) -> SkewTableau:
         raise PreconditionError(f"expected {m} rows, got {len(t_rows)}")
     for row in t_rows:
         for r in row:
-            if r < 1:
+            if type(r) is not int or r < 1:
                 raise PreconditionError(f"bad row index {r} in straightened rows")
     return _y_inverse(t_rows, sigma.images, alpha)
 
@@ -110,19 +110,22 @@ def _swap_tails(t_rows: Rows, x: CellRef) -> Rows:
 
 
 def phi_r(t: SkewTableau, beta, r: int) -> SkewTableau:
-    """Involution acting through row ``r`` of the straightened image.
+    """Involution acting through row ``r`` of the straightened image Y.
 
-    Scans the nefarious cells of that row left to right; the first one whose
-    swap, pulled back, is immaculate with the first column of ``t`` unchanged
-    acts.  If none acts, ``t`` is a fixed point.
+    Of the nefarious cells x of row r, only those with
+    ``x.column <= len(Y[r - 2]) + 1`` are tried, left to right: exactly for
+    them the swap ``theta_x(Y)`` makes row r one cell longer than the old
+    row r - 1, so that its pull-back under s_{r-1} sigma has permutation
+    s_{r-1} sigma.  The first whose pull-back keeps the first column of
+    ``t`` acts; if none does, ``t`` is a fixed point.
     """
-    if r < 1:
+    if type(r) is not int or r < 1:
         raise PreconditionError(f"row index must be >= 1, got {r}")
     y_rows, sigma = y_map(t, beta)  # checks beta
-    return phi_on_image(t, beta, y_rows, sigma, nefarious_cells(y_rows), r)
+    return phi_on_image(t, y_rows, sigma, nefarious_cells(y_rows), r)
 
 
-def phi_on_image(t: SkewTableau, beta, y_rows: Rows, sigma: Permutation,
+def phi_on_image(t: SkewTableau, y_rows: Rows, sigma: Permutation,
                  cells, r: int) -> SkewTableau:
     """``phi_r`` for a tableau whose straightening is already known:
     ``(y_rows, sigma) = y_map(t, beta)`` and ``cells`` are the nefarious
@@ -136,13 +139,15 @@ def phi_on_image(t: SkewTableau, beta, y_rows: Rows, sigma: Permutation,
     i, j = images.index(r - 1), images.index(r)
     images[i], images[j] = r, r - 1
     images = tuple(images)
+    # the cells whose pull-back has permutation s_{r-1} sigma (see phi_r)
+    bound = len(y_rows[r - 2]) + 1
     first_column = t.first_column()
     for x in row_cells:
+        if x.column > bound:  # cells come left to right: no later one fits
+            break
         candidate = _y_inverse(_swap_tails(y_rows, x), images, t.inner)
         # every row _y_inverse builds is sorted and t is immaculate, so keeping
-        # t's first column keeps the candidate immaculate; sigma is not implied
+        # t's first column keeps the candidate immaculate
         if candidate.first_column() == first_column:
-            candidate_sigma = _sigma_of(candidate, beta)
-            if candidate_sigma is not None and candidate_sigma.images == images:
-                return candidate
+            return candidate
     return t

@@ -179,7 +179,7 @@ def _phi(t, beta, r, straightened, memo):
     """``phi_on_image`` of ``t`` at row ``r``, memoised by ``(t.rows, r)``."""
     key = t.rows, r
     if key not in memo:
-        memo[key] = phi_on_image(t, beta, *_straighten(t, beta, straightened), r)
+        memo[key] = phi_on_image(t, *_straighten(t, beta, straightened), r)
     return memo[key]
 
 

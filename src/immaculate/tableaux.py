@@ -2,9 +2,9 @@
 
 A skew tableau stores its inner shape plus, for each row, the sequence of
 filled entries to the right of the inner cells.  Rows are indexed from 1, top
-to bottom.  Rows beyond the inner shape may only be empty at the very bottom
-(and such rows are kept only for images of the straightening map used by the
-involution machinery).
+to bottom.  Rows beyond the inner shape may only be empty at the very bottom:
+``outer_shape`` reads such rows as zeros and ``shape_composition`` drops them.
+The package itself builds no tableau that ends in one.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ class SkewTableau:
         if len(rows) < len(inner):
             rows = rows + ((),) * (len(inner) - len(rows))
         for row in rows:
-            if any(not isinstance(e, int) or e < 1 for e in row):
+            # type(e) is int: a bool is an int too, but no entry
+            if any(type(e) is not int or e < 1 for e in row):
                 raise PreconditionError(f"bad entries in row {row!r}")
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "rows", rows)
@@ -253,11 +254,7 @@ def count_immaculate_LR(alpha, lam, gamma) -> int:
 
 def sigma_of(t: SkewTableau, beta) -> Permutation | None:
     """The permutation c(T) - beta + Id, or None when it is not a permutation."""
-    return _sigma_of(t, check_composition(beta))
-
-
-def _sigma_of(t: SkewTableau, beta: tuple) -> Permutation | None:
-    """``sigma_of`` for a ``beta`` the package built itself: no check."""
+    beta = check_composition(beta)
     m = len(beta)
     try:
         c = content(t, m)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,38 @@ def run_child(*argv, timeout=None):
         [sys.executable, "-m", "immaculate.cli", *argv], capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=timeout,
     )
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """(argv, output) for each ``immaculate ARGS  # -> OUTPUT`` line of the
+    README's CLI block; the ``# -> OUTPUT`` may stand on the line below."""
+    block = README.read_text().split("## CLI", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples, argv = [], None
+    for line in block.splitlines():
+        command, arrow, output = line.partition("# -> ")
+        if command.startswith("immaculate "):
+            argv = shlex.split(command)[1:]
+        if arrow:
+            examples.append((argv, output.strip()))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_examples_found():
+    # the worked product, two structure constants and one conversion
+    assert len(README_EXAMPLES) >= 4
+
+
+@pytest.mark.parametrize("argv,output", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_examples_print_what_the_readme_says(capsys, argv, output):
+    assert run(capsys, *argv) == (0, output + "\n", "")
 
 
 @pytest.mark.parametrize("text,expected", [

@@ -1,6 +1,6 @@
 import pytest
 
-from immaculate import involution, sweeps
+from immaculate import involution, sweeps, tableaux
 from immaculate.compositions import Permutation, compositions_of
 from immaculate.errors import PreconditionError
 from immaculate.involution import (
@@ -14,7 +14,6 @@ from immaculate.involution import (
 )
 from immaculate.tableaux import (
     SkewTableau,
-    _sigma_of,
     enumerate_T_alpha_beta,
     is_immaculate,
     sigma_of,
@@ -47,6 +46,8 @@ def test_y_inverse_round_trip_worked_example():
     (((1, 1), (3,), (2, 0, 3)), (1, 2), "bad row index 0 in straightened rows"),
     (((1, 1), (-1,), (0,)), (1, 2), "bad row index -1 in straightened rows"),
     (((1, 1), (3,), (1, 2, 3)), (1, 0), "composition"),
+    (((1, 1), (3,), (1, True, 3)), (1, 2), "bad row index True in straightened rows"),
+    (((1, 1), (3,), (1, 1.5, 3)), (1, 2), "bad row index 1.5 in straightened rows"),
 ])
 def test_y_inverse_checks_its_arguments(rows, alpha, message):
     with pytest.raises(PreconditionError, match=message):
@@ -125,14 +126,15 @@ def test_phi_r_is_the_kernel_on_the_straightened_image():
                         cells = nefarious_cells(rows)
                         for r in range(1, len(alpha) + len(beta) + 1):
                             assert phi_r(t, beta, r) == phi_on_image(
-                                t, beta, rows, sigma, cells, r)
+                                t, rows, sigma, cells, r)
 
 
 def test_phi_r_rejects_foreign_tableau():
     with pytest.raises(PreconditionError):
         phi_r(T_WORKED, (2, 2, 1), 2)
-    with pytest.raises(PreconditionError):
-        phi_r(T_WORKED, BETA, 0)
+    for r in (0, True, 3.0, 2.5):
+        with pytest.raises(PreconditionError, match="row index must be >= 1"):
+            phi_r(T_WORKED, BETA, r)
 
 
 def test_sweep_straightens_and_scans_each_tableau_once(monkeypatch):
@@ -147,6 +149,20 @@ def test_sweep_straightens_and_scans_each_tableau_once(monkeypatch):
             monkeypatch.setattr(module, name, counted)
     assert sweeps.sweep_involution(5) is None
     assert calls == {"y_map": 2001, "nefarious_cells": 2001}
+
+
+def test_sweep_counts_content_once_per_straightening(monkeypatch):
+    # only y_map's sigma_of reads a content; phi_on_image reads none
+    calls = 0
+    original = tableaux.content
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+    monkeypatch.setattr(tableaux, "content", counted)
+    assert sweeps.sweep_involution(5) is None
+    assert calls == 2001
 
 
 def test_sweep_applies_phi_once_per_tableau_and_row(monkeypatch):
@@ -188,7 +204,8 @@ def test_unchecked_pull_back_matches_y_inverse():
 
 
 def test_pull_back_keeping_the_first_column_is_immaculate():
-    # phi_on_image tests a candidate's first column and sigma, not is_immaculate
+    # phi_on_image tests a candidate's first column and column bound, not
+    # is_immaculate
     kept = sigma_changed = 0
     for n in range(6):
         for a in range(n + 1):
@@ -205,6 +222,24 @@ def test_pull_back_keeping_the_first_column_is_immaculate():
                                 continue
                             assert is_immaculate(candidate), (alpha, beta, t, x)
                             kept += 1
-                            sigma_changed += _sigma_of(candidate, beta) != flipped
-    # the sigma test is not implied: it rejects some of these candidates
+                            sigma_changed += sigma_of(candidate, beta) != flipped
+    # sigma is not implied: the column bound rejects some of these candidates
     assert (kept, sigma_changed) == (3511, 645)
+
+
+def test_column_bound_is_the_sigma_test():
+    # a swap pulled back under s_{r-1} sigma has that permutation exactly
+    # when its cell x in row r has x.column <= len(row r - 1) + 1
+    pairs = rejected = 0
+    for alpha, beta in sweeps._pairs(6, compositions_of):
+        for t, _ in enumerate_T_alpha_beta(alpha, beta):
+            rows, sigma = y_map(t, beta)
+            for x in nefarious_cells(rows):
+                flipped = Permutation.transposition(len(beta), x.row - 1).compose(sigma)
+                pulled = y_inverse(theta_x(rows, x), flipped, alpha)
+                within = x.column <= len(rows[x.row - 2]) + 1
+                in_family = sigma_of(pulled, beta) == flipped
+                assert in_family == within, (alpha, beta, t, x)
+                pairs += 1
+                rejected += not within
+    assert (pairs, rejected) == (48604, 14472)

@@ -44,6 +44,7 @@ def test_padding_and_shape():
     ((), ((1, 0),)),        # a 0 entry
     ((), ((1, "2"),)),      # a non-int entry
     ((2, 0), ((1,),)),      # an inner shape that is not a composition
+    ((), ((True, 2),)),     # a bool entry, which would read as 1
 ])
 def test_skew_tableau_rejects_malformed_input(inner, rows):
     with pytest.raises(PreconditionError):
