@@ -56,7 +56,7 @@ def sort_composition(alpha) -> tuple:
 
 def scale(alpha, n: int) -> tuple:
     """Multiply every part of ``alpha`` by ``n``."""
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise PreconditionError(f"scale factor must be >= 1, got {n}")
     return tuple(n * a for a in alpha)
 
@@ -83,7 +83,7 @@ def right_pieri_successors(alpha, s: int) -> list:
     weak compositions give distinct beta, in their own (lexicographic) order.
     """
     alpha = check_composition(alpha)
-    if s < 1:
+    if type(s) is not int or s < 1:
         raise PreconditionError(f"s must be >= 1, got {s}")
     check_enumeration("right Pieri terms", comb(s + len(alpha), len(alpha)))
     return list(_extended(alpha + (0,), s, trim=True))
@@ -103,27 +103,25 @@ def is_right_pieri_successor(alpha, s: int, beta) -> bool:
 
 def horizontal_strip_successors(mu, n: int) -> set:
     """All partitions obtained from ``mu`` by adding a horizontal n-strip."""
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     mu = check_partition(mu)
 
     out = set()
 
-    # new cells in row r lie in columns > mu_r and <= mu_{r-1}
+    # new cells in row r lie in columns > mu_r and <= mu_{r-1}, so the rows
+    # after row r, the one new row included, take at most mu_r cells: row r
+    # ends at column >= remaining, and every partial strip completes
     def extend(row, prefix, remaining):
         if row > len(mu):
-            # at most one new row, bounded above by the last row of mu
-            if remaining == 0:
-                out.add(tuple(prefix))
-            elif not mu or remaining <= mu[-1]:
-                out.add(tuple(prefix) + (remaining,))
+            out.add(tuple(prefix) + ((remaining,) if remaining else ()))
             return
-        lo = mu[row - 1]
-        hi = remaining + lo
+        base = mu[row - 1]
+        hi = remaining + base
         if row > 1:
             hi = min(hi, mu[row - 2])
-        for nu_r in range(lo, hi + 1):
-            extend(row + 1, prefix + [nu_r], remaining - (nu_r - lo))
+        for nu_r in range(max(base, remaining), hi + 1):
+            extend(row + 1, prefix + [nu_r], remaining - (nu_r - base))
 
     extend(1, [], n)
     return out
@@ -256,7 +254,7 @@ class Permutation:
     @staticmethod
     def transposition(m: int, r: int) -> "Permutation":
         """Swap r and r+1 inside S_m."""
-        if not 1 <= r < m:
+        if type(m) is not int or type(r) is not int or not 1 <= r < m:
             raise PreconditionError(f"transposition ({r},{r + 1}) not in S_{m}")
         images = list(range(1, m + 1))
         images[r - 1], images[r] = images[r], images[r - 1]

@@ -83,12 +83,13 @@ def nefarious_cells(t_rows: Rows):
 def theta_x(t_rows: Rows, x: CellRef) -> Rows:
     """Two-row tail swap pivoted at the nefarious cell ``x``.
 
-    With x in row r at column c: if the cell above exists, the cells strictly
-    right of x move up while the cell above and everything right of it move
-    down after x; otherwise the cells strictly right of x move up and x
-    becomes the end of its row.
+    With x in row r at column c, rows r - 1 and r become
+    ``up[:c - 1] + down[c:]`` and ``down[:c] + up[c - 1:]``: the cells
+    strictly right of x move up, and the cells of row r - 1 from column c
+    on (none if x has no cell above) move down after x.
     """
-    if x not in nefarious_cells(t_rows):
+    if not (type(x.row) is int and type(x.column) is int) \
+            or x not in nefarious_cells(t_rows):
         raise PreconditionError(f"{x} is not a nefarious cell")
     return _swap_tails(t_rows, x)
 
@@ -97,27 +98,29 @@ def _swap_tails(t_rows: Rows, x: CellRef) -> Rows:
     """``theta_x`` for a cell already known to be nefarious."""
     r, c = x.row, x.column
     up, down = t_rows[r - 2], t_rows[r - 1]
-    if len(up) >= c:
-        new_up = up[: c - 1] + down[c:]
-        new_down = down[:c] + up[c - 1:]
-    else:
-        new_up = up + down[c:]
-        new_down = down[:c]
     rows = list(t_rows)
-    rows[r - 2] = new_up
-    rows[r - 1] = new_down
+    rows[r - 2] = up[: c - 1] + down[c:]
+    rows[r - 1] = down[:c] + up[c - 1:]
     return tuple(rows)
 
 
 def phi_r(t: SkewTableau, beta, r: int) -> SkewTableau:
     """Involution acting through row ``r`` of the straightened image Y.
 
-    Of the nefarious cells x of row r, only those with
-    ``x.column <= len(Y[r - 2]) + 1`` are tried, left to right: exactly for
-    them the swap ``theta_x(Y)`` makes row r one cell longer than the old
-    row r - 1, so that its pull-back under s_{r-1} sigma has permutation
-    s_{r-1} sigma.  The first whose pull-back keeps the first column of
-    ``t`` acts; if none does, ``t`` is a fixed point.
+    Only the left-most nefarious cell x of row r is tried: the pull-back of
+    ``theta_x(Y)`` under s_{r-1} sigma is ``phi_r(t)`` if it keeps the
+    first column of ``t``; otherwise ``t`` is a fixed point.  The cell at
+    column ``len(Y[r - 2]) + 1`` has no cell above, so x is at or left of
+    it, and the pull-back has permutation s_{r-1} sigma.  No later cell
+    acts either: with a, b = sigma^{-1}(r - 1), sigma^{-1}(r), a swap at
+    column c trades an a for a b in the rows ``Y[r - 2][:c - 1]`` of T and
+    a b for an a in the rows ``Y[r - 1][:c]``.  If the swap at x changes
+    the least letter of a row k, then k gains a letter it held none of,
+    which no later swap takes back; or a < b and
+    ``k <= Y[r - 2][c - 2] < Y[r - 1][c - 2]`` (column c - 1 is not
+    nefarious), so no later swap gives k an a back; or b < a and no later
+    row holds a b (first-column letters increase down T), so row r has no
+    later cell.
     """
     if type(r) is not int or r < 1:
         raise PreconditionError(f"row index must be >= 1, got {r}")
@@ -130,24 +133,15 @@ def phi_on_image(t: SkewTableau, y_rows: Rows, sigma: Permutation,
     """``phi_r`` for a tableau whose straightening is already known:
     ``(y_rows, sigma) = y_map(t, beta)`` and ``cells`` are the nefarious
     cells of ``y_rows``.  Nothing is validated."""
-    # nefarious cells lie in rows 2..len(y_rows) only
-    row_cells = [x for x in cells if x.row == r]
-    if not row_cells:
+    # cells come in row-major order, and lie in rows 2..len(y_rows) only
+    x = next((x for x in cells if x.row == r), None)
+    if x is None:
         return t
     # s_{r-1} sigma: the values r-1 and r trade places in sigma's images
     images = list(sigma.images)
     i, j = images.index(r - 1), images.index(r)
     images[i], images[j] = r, r - 1
-    images = tuple(images)
-    # the cells whose pull-back has permutation s_{r-1} sigma (see phi_r)
-    bound = len(y_rows[r - 2]) + 1
-    first_column = t.first_column()
-    for x in row_cells:
-        if x.column > bound:  # cells come left to right: no later one fits
-            break
-        candidate = _y_inverse(_swap_tails(y_rows, x), images, t.inner)
-        # every row _y_inverse builds is sorted and t is immaculate, so keeping
-        # t's first column keeps the candidate immaculate
-        if candidate.first_column() == first_column:
-            return candidate
-    return t
+    candidate = _y_inverse(_swap_tails(y_rows, x), tuple(images), t.inner)
+    # every row _y_inverse builds is sorted and t is immaculate, so keeping
+    # t's first column keeps the candidate immaculate
+    return candidate if candidate.first_column() == t.first_column() else t

@@ -159,7 +159,7 @@ def zero_insertion_sign_sum(beta, gamma) -> int:
 def left_pieri_coefficient(s: int, beta, gamma) -> int:
     """Coefficient of S_gamma in H_s * S_beta for s >= 1: 0 when gamma_1 < s,
     else the closed-form value at gamma with its first part reduced by s - 1."""
-    if s < 1:
+    if type(s) is not int or s < 1:
         raise PreconditionError(f"s must be >= 1, got {s}")
     beta = check_composition(beta)
     gamma = check_composition(gamma)
@@ -176,7 +176,7 @@ def left_pieri(s: int, beta) -> LinComb:
     the compositions gamma' of |beta| + 1 of those lengths, and the
     coefficient of S_gamma is the closed-form value at gamma'.
     """
-    if s < 1:
+    if type(s) is not int or s < 1:
         raise PreconditionError(f"s must be >= 1, got {s}")
     beta = check_composition(beta)
     n = len(beta)

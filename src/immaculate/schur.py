@@ -82,7 +82,7 @@ def pieri_sym(mu, n: int) -> LinComb:
 def _saturation_check(coefficient, a, b, c, N: int) -> bool:
     """True iff ``coefficient(a, b, c)`` is nonzero exactly when its value at
     the N-scaled triple is."""
-    if N < 1:
+    if type(N) is not int or N < 1:
         raise PreconditionError(f"N must be >= 1, got {N}")
     if sum(c) != sum(a) + sum(b):
         raise PreconditionError(f"sizes incompatible: {sum(c)} != {sum(a)} + {sum(b)}")

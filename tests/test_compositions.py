@@ -115,6 +115,7 @@ def test_is_right_pieri_successor(alpha, s, beta, expected):
     ((1,), 1, {(2,), (1, 1)}),
     ((), 4, {(4,)}),
     ((2, 1), 2, {(4, 1), (3, 2), (3, 1, 1), (2, 2, 1)}),
+    ((1,), 10**6, {(10**6 + 1,), (10**6, 1)}),
 ])
 def test_horizontal_strip_successors(mu, n, expected):
     assert horizontal_strip_successors(mu, n) == expected
@@ -336,9 +337,17 @@ def test_generators_at_the_edges():
             assert list(compositions_of(n, length)) == [], (n, length)
             assert list(weak_compositions(n, length)) == [], (n, length)
     assert list(compositions_of(-1)) == list(compositions_of(-3)) == []
-    for s in (0, -1):
+    for s in (0, -1, True, 2.0):
         with pytest.raises(PreconditionError, match="s must be >= 1"):
             right_pieri_successors((2, 1), s)
+    # step sizes are ints: a bool or a float is refused, not used as a number
+    with pytest.raises(PreconditionError, match="n must be >= 1"):
+        horizontal_strip_successors((2, 1), 2.0)
+    with pytest.raises(PreconditionError, match="scale factor must be >= 1"):
+        scale((1, 2), 2.0)
+    for m, r in ((3, True), (3, 1.0), (3.0, 1)):
+        with pytest.raises(PreconditionError, match="not in S_3"):
+            Permutation.transposition(m, r)
 
 
 @pytest.mark.parametrize("alpha", [(0, 2), (2, -1), [1.5], (True,)])

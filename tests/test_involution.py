@@ -87,8 +87,12 @@ def test_theta_x_is_an_involution():
 
 
 def test_theta_x_rejects_non_nefarious():
-    with pytest.raises(PreconditionError):
-        theta_x(((1, 2), (2, 3)), CellRef(2, 2))
+    # a cell's row and column are ints: True is not column 1
+    for rows, x in [(((1, 2), (2, 3)), CellRef(2, 2)),
+                    (((2,), (1,)), CellRef(2, True)),
+                    (((1, 2, 3), (2, 2, 3)), CellRef(2.0, 2))]:
+        with pytest.raises(PreconditionError, match="is not a nefarious cell"):
+            theta_x(rows, x)
 
 
 def test_phi_is_involution_and_reverses_sign():
@@ -204,8 +208,7 @@ def test_unchecked_pull_back_matches_y_inverse():
 
 
 def test_pull_back_keeping_the_first_column_is_immaculate():
-    # phi_on_image tests a candidate's first column and column bound, not
-    # is_immaculate
+    # phi_on_image tests its one candidate's first column, not is_immaculate
     kept = sigma_changed = 0
     for n in range(6):
         for a in range(n + 1):
@@ -229,12 +232,17 @@ def test_pull_back_keeping_the_first_column_is_immaculate():
 
 def test_column_bound_is_the_sigma_test():
     # a swap pulled back under s_{r-1} sigma has that permutation exactly
-    # when its cell x in row r has x.column <= len(row r - 1) + 1
+    # when its cell x in row r has x.column <= len(row r - 1) + 1.  The cell
+    # at that column has no cell above, so the left-most nefarious cell of a
+    # row is always within the bound: its pull-back is in the family
     pairs = rejected = 0
+    phi_pairs = moved = left_most_failed = later_within = 0
     for alpha, beta in sweeps._pairs(6, compositions_of):
         for t, _ in enumerate_T_alpha_beta(alpha, beta):
             rows, sigma = y_map(t, beta)
-            for x in nefarious_cells(rows):
+            cells = nefarious_cells(rows)
+            by_row = {}  # row -> (within, pull-back) for each cell, left to right
+            for x in cells:
                 flipped = Permutation.transposition(len(beta), x.row - 1).compose(sigma)
                 pulled = y_inverse(theta_x(rows, x), flipped, alpha)
                 within = x.column <= len(rows[x.row - 2]) + 1
@@ -242,4 +250,24 @@ def test_column_bound_is_the_sigma_test():
                 assert in_family == within, (alpha, beta, t, x)
                 pairs += 1
                 rejected += not within
+                by_row.setdefault(x.row, []).append((within, pulled))
+            # phi_on_image against the rule it replaced: try the cells within
+            # the bound left to right, the first keeping t's first column acts
+            for r in range(1, len(alpha) + len(beta) + 1):
+                row = by_row.get(r, [])
+                assert not row or row[0][0], (alpha, beta, t, r)
+                tried = [pulled for within, pulled in row if within]
+                keeps = [p for p in tried if p.first_column() == t.first_column()]
+                expected = keeps[0] if keeps else t
+                assert phi_on_image(t, rows, sigma, cells, r) == expected, \
+                    (alpha, beta, t, r)
+                phi_pairs += 1
+                moved += expected != t
+                if tried and tried[0].first_column() != t.first_column():
+                    left_most_failed += 1
+                    later_within += len(tried) - 1
     assert (pairs, rejected) == (48604, 14472)
+    assert (phi_pairs, moved, left_most_failed) == (73554, 25546, 1504)
+    # no failing left-most cell has a later cell within the bound at this
+    # size, so the old rule never reached a second candidate here
+    assert later_within == 0

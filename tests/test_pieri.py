@@ -137,11 +137,14 @@ def test_left_pieri_matches_single_coefficient_route():
                             left_pieri_coefficient(s, beta, gamma), (s, beta, gamma)
 
 
-@pytest.mark.parametrize("s", [0, -1])
+@pytest.mark.parametrize("s", [0, -1, 1.5, 2.0, True])
 def test_left_pieri_coefficient_rejects_s_below_one(s):
-    # H_0 = 1, so H_0 * S_(1,2) = S_(1,2): the closed form has no answer 0 here
+    # H_0 = 1, so H_0 * S_(1,2) = S_(1,2): the closed form has no answer 0
+    # here; a step size that is not an int is refused the same way
     with pytest.raises(PreconditionError, match=f"s must be >= 1, got {s}"):
         left_pieri_coefficient(s, (1, 2), (1, 2))
+    with pytest.raises(PreconditionError, match=f"s must be >= 1, got {s}"):
+        left_pieri(s, (1, 2))
 
 
 @pytest.mark.parametrize("beta,gamma", [

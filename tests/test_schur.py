@@ -114,3 +114,7 @@ def test_saturation_checks_validate_input():
         saturation_check_sym((1,), (1,), (3,), 2)
     with pytest.raises(PreconditionError):
         saturation_check_nsym((1,), (1,), (2,), 0)
+    # N is refused before the unscaled coefficient is computed
+    for N in (True, 2.0):
+        with pytest.raises(PreconditionError, match="N must be >= 1"):
+            saturation_check_sym((1,), (1,), (2,), N)
