@@ -38,6 +38,13 @@ def check_composition(alpha) -> tuple:
     return alpha
 
 
+def check_positive(what: str, value):
+    """Refuse a ``value`` (``what``) that is not an int >= 1; a bool or a
+    float is not one."""
+    if type(value) is not int or value < 1:
+        raise PreconditionError(f"{what} must be >= 1, got {value}")
+
+
 def check_partition(lam) -> tuple:
     lam = check_composition(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
@@ -56,8 +63,7 @@ def sort_composition(alpha) -> tuple:
 
 def scale(alpha, n: int) -> tuple:
     """Multiply every part of ``alpha`` by ``n``."""
-    if type(n) is not int or n < 1:
-        raise PreconditionError(f"scale factor must be >= 1, got {n}")
+    check_positive("scale factor", n)
     return tuple(n * a for a in alpha)
 
 
@@ -83,8 +89,7 @@ def right_pieri_successors(alpha, s: int) -> list:
     weak compositions give distinct beta, in their own (lexicographic) order.
     """
     alpha = check_composition(alpha)
-    if type(s) is not int or s < 1:
-        raise PreconditionError(f"s must be >= 1, got {s}")
+    check_positive("s", s)
     check_enumeration("right Pieri terms", comb(s + len(alpha), len(alpha)))
     return list(_extended(alpha + (0,), s, trim=True))
 
@@ -103,8 +108,7 @@ def is_right_pieri_successor(alpha, s: int, beta) -> bool:
 
 def horizontal_strip_successors(mu, n: int) -> set:
     """All partitions obtained from ``mu`` by adding a horizontal n-strip."""
-    if type(n) is not int or n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
+    check_positive("n", n)
     mu = check_partition(mu)
 
     out = set()

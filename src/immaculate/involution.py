@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compositions import Permutation, check_composition
+from .compositions import Permutation, check_composition, check_positive
 from .errors import PreconditionError
 from .tableaux import SkewTableau, _tableau, is_immaculate, sigma_of
 
@@ -68,16 +68,18 @@ def _y_inverse(t_rows: Rows, images: tuple, alpha: tuple) -> SkewTableau:
     return _tableau(alpha, tuple(map(tuple, out)))
 
 
+def _nefarious_columns(above: tuple, row: tuple):
+    """Columns, left to right, of the cells of ``row`` whose upper neighbour
+    in ``above`` is absent or carries a value at least as large."""
+    for j, a in enumerate(row, 1):
+        if j > len(above) or above[j - 1] >= a:
+            yield j
+
+
 def nefarious_cells(t_rows: Rows):
-    """Cells below row 1 whose upper neighbour is absent or carries a value
-    at least as large, in row-major order."""
-    out = []
-    for r in range(2, len(t_rows) + 1):
-        above = t_rows[r - 2]
-        for j, a in enumerate(t_rows[r - 1], 1):
-            if j > len(above) or above[j - 1] >= a:
-                out.append(CellRef(r, j))
-    return out
+    """Nefarious cells below row 1, in row-major order."""
+    return [CellRef(r, c) for r in range(2, len(t_rows) + 1)
+            for c in _nefarious_columns(t_rows[r - 2], t_rows[r - 1])]
 
 
 def theta_x(t_rows: Rows, x: CellRef) -> Rows:
@@ -91,12 +93,11 @@ def theta_x(t_rows: Rows, x: CellRef) -> Rows:
     if not (type(x.row) is int and type(x.column) is int) \
             or x not in nefarious_cells(t_rows):
         raise PreconditionError(f"{x} is not a nefarious cell")
-    return _swap_tails(t_rows, x)
+    return _swap_tails(t_rows, x.row, x.column)
 
 
-def _swap_tails(t_rows: Rows, x: CellRef) -> Rows:
-    """``theta_x`` for a cell already known to be nefarious."""
-    r, c = x.row, x.column
+def _swap_tails(t_rows: Rows, r: int, c: int) -> Rows:
+    """``theta_x`` at the cell (r, c), already known to be nefarious."""
     up, down = t_rows[r - 2], t_rows[r - 1]
     rows = list(t_rows)
     rows[r - 2] = up[: c - 1] + down[c:]
@@ -122,26 +123,26 @@ def phi_r(t: SkewTableau, beta, r: int) -> SkewTableau:
     row holds a b (first-column letters increase down T), so row r has no
     later cell.
     """
-    if type(r) is not int or r < 1:
-        raise PreconditionError(f"row index must be >= 1, got {r}")
+    check_positive("row index", r)
     y_rows, sigma = y_map(t, beta)  # checks beta
-    return phi_on_image(t, y_rows, sigma, nefarious_cells(y_rows), r)
+    return phi_on_image(t, y_rows, sigma, r)
 
 
 def phi_on_image(t: SkewTableau, y_rows: Rows, sigma: Permutation,
-                 cells, r: int) -> SkewTableau:
+                 r: int) -> SkewTableau:
     """``phi_r`` for a tableau whose straightening is already known:
-    ``(y_rows, sigma) = y_map(t, beta)`` and ``cells`` are the nefarious
-    cells of ``y_rows``.  Nothing is validated."""
-    # cells come in row-major order, and lie in rows 2..len(y_rows) only
-    x = next((x for x in cells if x.row == r), None)
-    if x is None:
+    ``(y_rows, sigma) = y_map(t, beta)``.  Nothing is validated."""
+    # nefarious cells lie in rows 2..len(y_rows) only
+    if not 2 <= r <= len(y_rows):
+        return t
+    c = next(_nefarious_columns(y_rows[r - 2], y_rows[r - 1]), None)
+    if c is None:
         return t
     # s_{r-1} sigma: the values r-1 and r trade places in sigma's images
     images = list(sigma.images)
     i, j = images.index(r - 1), images.index(r)
     images[i], images[j] = r, r - 1
-    candidate = _y_inverse(_swap_tails(y_rows, x), tuple(images), t.inner)
+    candidate = _y_inverse(_swap_tails(y_rows, r, c), tuple(images), t.inner)
     # every row _y_inverse builds is sorted and t is immaculate, so keeping
     # t's first column keeps the candidate immaculate
     return candidate if candidate.first_column() == t.first_column() else t

@@ -13,6 +13,7 @@ from math import comb
 from .compositions import (
     check_composition,
     check_enumeration,
+    check_positive,
     compositions_of,
     right_pieri_successors,
 )
@@ -159,8 +160,7 @@ def zero_insertion_sign_sum(beta, gamma) -> int:
 def left_pieri_coefficient(s: int, beta, gamma) -> int:
     """Coefficient of S_gamma in H_s * S_beta for s >= 1: 0 when gamma_1 < s,
     else the closed-form value at gamma with its first part reduced by s - 1."""
-    if type(s) is not int or s < 1:
-        raise PreconditionError(f"s must be >= 1, got {s}")
+    check_positive("s", s)
     beta = check_composition(beta)
     gamma = check_composition(gamma)
     if not gamma or gamma[0] < s:
@@ -176,8 +176,7 @@ def left_pieri(s: int, beta) -> LinComb:
     the compositions gamma' of |beta| + 1 of those lengths, and the
     coefficient of S_gamma is the closed-form value at gamma'.
     """
-    if type(s) is not int or s < 1:
-        raise PreconditionError(f"s must be >= 1, got {s}")
+    check_positive("s", s)
     beta = check_composition(beta)
     n = len(beta)
     size = sum(beta) + 1

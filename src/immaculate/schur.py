@@ -9,6 +9,7 @@ from functools import lru_cache
 
 from .compositions import (
     check_partition,
+    check_positive,
     horizontal_strip_successors,
     is_partition,
     scale,
@@ -82,8 +83,7 @@ def pieri_sym(mu, n: int) -> LinComb:
 def _saturation_check(coefficient, a, b, c, N: int) -> bool:
     """True iff ``coefficient(a, b, c)`` is nonzero exactly when its value at
     the N-scaled triple is."""
-    if type(N) is not int or N < 1:
-        raise PreconditionError(f"N must be >= 1, got {N}")
+    check_positive("N", N)
     if sum(c) != sum(a) + sum(b):
         raise PreconditionError(f"sizes incompatible: {sum(c)} != {sum(a)} + {sum(b)}")
     base = coefficient(tuple(a), tuple(b), tuple(c))

@@ -87,3 +87,12 @@ def test_no_unreferenced_public_functions():
     outside = [parse(p) for folder in ("tests", "perfbench")
                for p in sorted((repo / folder).glob("*.py"))]
     assert unreferenced_functions(lambda name: not name.startswith("_"), outside) == []
+
+
+def test_sweeps_import_no_private_names():
+    # a sweep reaches a kernel through its public name only: one that reuses
+    # the kernel's private parts recomputes the kernel, not a second route
+    tree = parse(PACKAGE / "sweeps.py")
+    private = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

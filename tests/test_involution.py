@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from immaculate import involution, sweeps, tableaux
-from immaculate.compositions import Permutation, compositions_of
+from immaculate.compositions import Permutation, compositions_of, shifted_entries
 from immaculate.errors import PreconditionError
 from immaculate.involution import (
     CellRef,
@@ -127,10 +128,20 @@ def test_phi_r_is_the_kernel_on_the_straightened_image():
                 for beta in compositions_of(b):
                     for t, _ in enumerate_T_alpha_beta(alpha, beta):
                         rows, sigma = y_map(t, beta)
-                        cells = nefarious_cells(rows)
                         for r in range(1, len(alpha) + len(beta) + 1):
                             assert phi_r(t, beta, r) == phi_on_image(
-                                t, rows, sigma, cells, r)
+                                t, rows, sigma, r)
+
+
+def test_phi_r_fixes_the_rows_the_sweep_skips():
+    # the involution sweep stops at r = len(beta): the straightened image has
+    # len(beta) rows, so a larger r fixes every member, as r = 1 does (row 1
+    # has no row above it)
+    for alpha, beta in sweeps._pairs(5, compositions_of):
+        skipped = [1, *range(len(beta) + 1, len(alpha) + len(beta) + 2)]
+        for t, _ in enumerate_T_alpha_beta(alpha, beta):
+            for r in skipped:
+                assert phi_r(t, beta, r) == t, (alpha, beta, t, r)
 
 
 def test_phi_r_rejects_foreign_tableau():
@@ -141,18 +152,19 @@ def test_phi_r_rejects_foreign_tableau():
             phi_r(T_WORKED, BETA, r)
 
 
-def test_sweep_straightens_and_scans_each_tableau_once(monkeypatch):
-    # the families with |alpha| + |beta| <= 5 hold 2,001 tableaux; every
-    # image of phi_r is one of them
+def test_sweep_straightens_each_tableau_once_and_scans_none(monkeypatch):
+    # the families with |alpha| + |beta| <= 5 hold 2,001 tableaux; phi_r
+    # finds its own cell, so no whole image is scanned
     calls = {"y_map": 0, "nefarious_cells": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(involution, name)):
             calls[_name] += 1
             return _original(*args)
         for module in (involution, sweeps):
-            monkeypatch.setattr(module, name, counted)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     assert sweeps.sweep_involution(5) is None
-    assert calls == {"y_map": 2001, "nefarious_cells": 2001}
+    assert calls == {"y_map": 2001, "nefarious_cells": 0}
 
 
 def test_sweep_counts_content_once_per_straightening(monkeypatch):
@@ -170,8 +182,8 @@ def test_sweep_counts_content_once_per_straightening(monkeypatch):
 
 
 def test_sweep_applies_phi_once_per_tableau_and_row(monkeypatch):
-    # 7,867 (T, r) pairs in the families with |alpha| + |beta| <= 5; the
-    # phi_r of a moved tableau's image is reused when the image comes up
+    # 6,408 (T, r) pairs with r <= len(beta) in the families with
+    # |alpha| + |beta| <= 5; the involution is read off the same table
     calls = 0
     original = sweeps.phi_on_image
 
@@ -181,7 +193,25 @@ def test_sweep_applies_phi_once_per_tableau_and_row(monkeypatch):
         return original(*args)
     monkeypatch.setattr(sweeps, "phi_on_image", counted)
     assert sweeps.sweep_involution(5) is None
-    assert calls == 7867
+    assert calls == 6408
+
+
+def phi_by_definition(t, beta, r):
+    """phi_r as the paper defines it: the nefarious cells x of row r of the
+    straightened image Y are tried left to right, and the first pull-back of
+    theta_x(Y) under s_{r-1} sigma that is immaculate, keeps t's first
+    column and has permutation s_{r-1} sigma acts; t is fixed if none does."""
+    rows, sigma = y_map(t, beta)
+    for x in nefarious_cells(rows):
+        if x.row != r:
+            continue
+        flipped = Permutation.transposition(len(beta), r - 1).compose(sigma)
+        candidate = y_inverse(theta_x(rows, x), flipped, t.inner)
+        if (is_immaculate(candidate)
+                and candidate.first_column() == t.first_column()
+                and sigma_of(candidate, beta) == flipped):
+            return candidate
+    return t
 
 
 def pulled_back(t_rows, sigma, alpha):
@@ -251,15 +281,15 @@ def test_column_bound_is_the_sigma_test():
                 pairs += 1
                 rejected += not within
                 by_row.setdefault(x.row, []).append((within, pulled))
-            # phi_on_image against the rule it replaced: try the cells within
-            # the bound left to right, the first keeping t's first column acts
+            # phi_on_image, which tries the left-most cell only, against the
+            # definition, which tries every cell of the row
             for r in range(1, len(alpha) + len(beta) + 1):
                 row = by_row.get(r, [])
                 assert not row or row[0][0], (alpha, beta, t, r)
                 tried = [pulled for within, pulled in row if within]
-                keeps = [p for p in tried if p.first_column() == t.first_column()]
-                expected = keeps[0] if keeps else t
-                assert phi_on_image(t, rows, sigma, cells, r) == expected, \
+                # a row without nefarious cells has no candidate to try
+                expected = phi_by_definition(t, beta, r) if row else t
+                assert phi_on_image(t, rows, sigma, r) == expected, \
                     (alpha, beta, t, r)
                 phi_pairs += 1
                 moved += expected != t
@@ -271,3 +301,42 @@ def test_column_bound_is_the_sigma_test():
     # no failing left-most cell has a later cell within the bound at this
     # size, so the old rule never reached a second candidate here
     assert later_within == 0
+
+
+@st.composite
+def family_members(draw):
+    """(t, beta) with t in the family of (alpha, beta), 7 <= |alpha| + |beta| <= 9.
+
+    t is built, not drawn from an enumerated family (which reaches 49,271
+    tableaux at size 8): the rows below alpha start with strictly increasing
+    letters of the content, and every other letter goes to an inner row or
+    to a lower row whose first letter is at most it."""
+    n = draw(st.integers(7, 9))
+    a = draw(st.integers(0, n - 1))
+    alpha = draw(st.sampled_from(list(compositions_of(a))))
+    beta = draw(st.sampled_from(list(compositions_of(n - a))))
+    sigma, c = draw(st.sampled_from(list(shifted_entries(beta))))
+    support = [v for v, k in enumerate(c, 1) if k]
+    firsts = set(draw(st.lists(st.sampled_from(support), unique=True)))
+    if not alpha:  # the least letter has no inner row to go to
+        firsts.add(support[0])
+    firsts = sorted(firsts)
+    rows = [[] for _ in alpha] + [[v] for v in firsts]
+    for v, k in enumerate(c, 1):
+        eligible = [*range(len(alpha)),
+                    *(len(alpha) + i for i, f in enumerate(firsts) if f <= v)]
+        for _ in range(k - (v in firsts)):
+            rows[draw(st.sampled_from(eligible))].append(v)
+    t = SkewTableau(alpha, tuple(tuple(sorted(row)) for row in rows))
+    assert is_immaculate(t) and sigma_of(t, beta) == sigma
+    return t, beta
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(family_members())
+def test_phi_r_is_the_definition_past_the_exhaustive_sizes(member):
+    # the sweep and the tests above reach |alpha| + |beta| <= 6; here the
+    # left-most-cell rule is checked against the definition at 7..9
+    t, beta = member
+    for r in range(1, len(t.rows) + len(beta) + 2):
+        assert phi_r(t, beta, r) == phi_by_definition(t, beta, r), r

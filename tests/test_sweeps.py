@@ -10,6 +10,7 @@ import pytest
 
 from immaculate import sweeps
 from immaculate.linear import LinComb
+from immaculate.tableaux import SkewTableau
 
 
 def zero_S(*_):
@@ -36,6 +37,11 @@ def one_way(orig):
         image = orig(t, *rest)
         return image if image.rows >= t.rows else t
     return route
+
+
+def one_cell_more(orig, t, *rest):
+    """A tableau with one cell more than any member of ``t``'s family."""
+    return SkewTableau(t.inner, t.rows + ((1,),))
 
 
 WITNESSES = [
@@ -92,10 +98,9 @@ WITNESSES = [
         id="involution-not-involution"),
     pytest.param(
         "involution", 3,
-        {"y_inverse": lambda orig: lambda rows, sigma, alpha: None},
-        "acting cell is not the left-most nefarious cell at "
-        "alpha=(), beta=(1, 1), T=((1, 2),), r=2",
-        id="involution-acting-cell"),
+        {"phi_on_image": when(lambda t, y_rows, sigma, r: r == 2, one_cell_more)},
+        "phi_2 left the family at alpha=(), beta=(1, 1), T=((1,), (2,))",
+        id="involution-left-family"),
     pytest.param(
         "saturation-sym", 3,
         {"saturation_check_sym": when(lambda mu, nu, lam, n: lam == (2, 1),
