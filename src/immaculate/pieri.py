@@ -3,13 +3,18 @@ coefficient for a single-row left factor.
 
 The left rule works through a membership test on candidate row-length vectors
 (one more than the filled first-row length, followed by a possibly-zero tail)
-and a sign that counts negative entries of beta minus the tail.
+and a sign that counts negative entries of beta minus the tail.  The
+candidates with no zero part that pass the test are walked directly, one
+running threshold at a time, from per-row bounds; the shapes one part shorter,
+where the signs cancel, are scanned.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from math import comb
 
+from . import compositions
 from .compositions import (
     check_composition,
     check_enumeration,
@@ -168,25 +173,86 @@ def left_pieri_coefficient(s: int, beta, gamma) -> int:
     return left_pieri_unit_coefficient(beta, (gamma[0] - s + 1,) + gamma[1:])
 
 
+def _reach(beta) -> list:
+    """reach[i] for i = 0..n: a walk of ``_z_members`` at threshold t before
+    row i (after the last row when i = n) can still end at 0 exactly when
+    t < reach[i].  At row i, t >= beta_i must step up and t < beta_i can step
+    down to 0, so reach[n] = 1 and reach[i] = max(beta_i, reach[i+1] - 1)."""
+    reach = [1]
+    for b in reversed(beta):
+        reach.append(max(b, reach[-1] - 1))
+    return reach[::-1]
+
+
+def _z_member_count(beta, reach) -> int:
+    """How many candidates ``_z_members`` yields, by the same steps counted
+    backwards: ways[t] is the number of walks that end from threshold t."""
+    ways = [1]
+    for i in range(len(beta) - 1, -1, -1):
+        below = list(accumulate(ways, initial=0))    # below[k] = sum(ways[:k])
+        ways = [below[min(t + 1, len(ways))] if beta[i] > t
+                else below[-1] - below[t + 1] for t in range(reach[i])]
+    return sum(ways)
+
+
+def _z_members(beta, reach):
+    """Exactly the (n+1)-part compositions delta of |beta| + 1 that pass
+    ``_z_member(delta, beta)``, in lexicographic order, with no scan.
+
+    With positive parts the test is a walk on the running threshold t of
+    ``z_membership``, starting at t = delta_1 - 1: at row i, t' = t + d_i -
+    beta_i is any value above t when beta_i <= t (so d_i > beta_i), and any
+    value from 0 to t otherwise (so beta_i >= d_i >= beta_i - t); the sum
+    |beta| + 1 is a walk that ends at t = 0.  Every threshold kept below
+    ``reach`` finishes at least one walk, so no branch is dead.
+    """
+    n = len(beta)
+    delta = [0] * (n + 1)
+    thresholds = [0] * (n + 1)
+    choices = [iter(range(reach[0]))]     # choices[i]: the values left for t_i
+    while choices:
+        i = len(choices) - 1
+        t = next(choices[i], None)
+        if t is None:
+            choices.pop()
+            continue
+        thresholds[i] = t
+        delta[i] = t + 1 if i == 0 else beta[i - 1] + t - thresholds[i - 1]
+        if i == n:
+            yield tuple(delta)
+        elif beta[i] > t:
+            choices.append(iter(range(min(t + 1, reach[i + 1]))))
+        else:
+            choices.append(iter(range(t + 1, reach[i + 1])))
+
+
 def left_pieri(s: int, beta) -> LinComb:
     """H_s * S_beta via translation to the single-cell left factor.
 
     The outer shapes gamma have len(beta) or len(beta)+1 parts and first
     part at least s.  Reducing gamma_1 by s - 1 maps them one to one onto
     the compositions gamma' of |beta| + 1 of those lengths, and the
-    coefficient of S_gamma is the closed-form value at gamma'.
+    coefficient of S_gamma is the closed-form value at gamma'.  The
+    (n+1)-part gamma' with a nonzero value are exactly the members that
+    ``_z_members`` walks; the n-part ones are scanned.  The candidates are
+    counted before any is tested: the members, by the walk's recurrence,
+    plus the C(|beta|, n - 1) compositions scanned.
     """
     check_positive("s", s)
     beta = check_composition(beta)
     n = len(beta)
     size = sum(beta) + 1
-    check_enumeration("left Pieri candidates", comb(size, n))
+    reach = _reach(beta)
+    scanned = comb(size - 1, n - 1) if n else 0
+    if sum(reach) > compositions.ENUMERATION_LIMIT:
+        # the exact count takes sum(reach) steps; every start threshold
+        # finishes a walk, so reach[0] bounds the members from below at once
+        check_enumeration("or more left Pieri candidates", reach[0] + scanned)
+    check_enumeration("left Pieri candidates",
+                      _z_member_count(beta, reach) + scanned)
     out = {}
-    for length in {n, n + 1}:
-        if length < 1:
-            continue
-        for reduced in compositions_of(size, length=length):
-            c = left_pieri_unit_coefficient(beta, reduced)
-            if c:
-                out[(reduced[0] + s - 1,) + reduced[1:]] = c
+    for reduced in chain(_z_members(beta, reach), compositions_of(size, length=n)):
+        c = left_pieri_unit_coefficient(beta, reduced)
+        if c:
+            out[(reduced[0] + s - 1,) + reduced[1:]] = c
     return _built("S", out)

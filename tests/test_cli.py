@@ -279,8 +279,8 @@ def test_tableau_enumeration_limit_exit_3(capsys, monkeypatch):
      "933120 surviving permutations", 5),
     (["right-pieri", "--alpha", "1,1,1,1,1", "--s", "60"],
      "8259888 right Pieri terms", 5),
-    (["left-pieri", "--s", "1", "--beta", "30,30,30,30"],
-     "8495410 left Pieri candidates", 5),
+    (["left-pieri", "--s", "1", "--beta", "40,40,40,40"],
+     "793330 left Pieri candidates", 5),
     (["product", "--left", "S:" + ",".join(["1"] * 15),
       "--right", "S:" + ",".join(["1"] * 15)],
      "268435456 term products in H", 5),

@@ -1,5 +1,9 @@
-import pytest
+from itertools import chain
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from immaculate import pieri
 from immaculate.compositions import compositions_of
 from immaculate.errors import PreconditionError, ResourceLimitError
 from immaculate.linear import LinComb
@@ -167,26 +171,28 @@ def test_pieri_expansions_refused_up_front():
                        match="8259888 right Pieri terms .limit 500000"):
         right_pieri((1,) * 5, 60)
     with pytest.raises(ResourceLimitError,
-                       match="8495410 left Pieri candidates .limit 500000"):
-        left_pieri(1, (30,) * 4)
+                       match="793330 left Pieri candidates .limit 500000"):
+        left_pieri(1, (40,) * 4)
 
 
 def test_largest_pieri_expansions_under_the_limit_are_answered():
     assert len(right_pieri((1,) * 5, 30)) == 324632
     assert len(left_pieri(1, (6,) * 5)) == 253
+    assert len(left_pieri(1, (30,) * 4)) == 40921
 
 
 def test_pieri_limits_count_exactly(monkeypatch):
-    # C(s + n, n) right terms and C(|beta| + 1, n) left candidates
+    # C(s + n, n) right terms; left, the (n+1)-part members walked (here
+    # (1, 2, 1) and (2, 1, 1)) plus the C(|beta|, n - 1) n-part compositions
     monkeypatch.setattr(LIMIT, 10)
     assert len(right_pieri((1, 1), 3)) == 10
     monkeypatch.setattr(LIMIT, 9)
     with pytest.raises(ResourceLimitError, match="10 right Pieri terms"):
         right_pieri((1, 1), 3)
-    monkeypatch.setattr(LIMIT, 6)
-    assert len(left_pieri(2, (2, 1))) == 4
     monkeypatch.setattr(LIMIT, 5)
-    with pytest.raises(ResourceLimitError, match="6 left Pieri candidates"):
+    assert len(left_pieri(2, (2, 1))) == 4
+    monkeypatch.setattr(LIMIT, 4)
+    with pytest.raises(ResourceLimitError, match="5 left Pieri candidates"):
         left_pieri(2, (2, 1))
 
 
@@ -197,6 +203,49 @@ def test_left_pieri_unit_case_multiplicity_free():
                 continue
             for _, c in left_pieri(1, beta).items():
                 assert c in (1, -1)
+
+
+def test_walk_yields_exactly_the_members():
+    for size in range(10):
+        for beta in compositions_of(size):
+            n = len(beta)
+            want = [delta for delta in compositions_of(size + 1, n + 1)
+                    if z_membership(delta, beta)]
+            reach = pieri._reach(beta)
+            got = list(pieri._z_members(beta, reach))
+            assert got == want, beta
+            assert len(set(got)) == len(got)
+            assert pieri._z_member_count(beta, reach) == len(got), beta
+
+
+def test_left_pieri_refuses_a_huge_part_at_once():
+    # the exact count would take 10^9 steps; every start threshold of the
+    # walk finishes one, so 10^9 members and one 1-part composition at least
+    with pytest.raises(ResourceLimitError,
+                       match="1000000001 or more left Pieri candidates"):
+        left_pieri(1, (10 ** 9,))
+
+
+def sign_sum_expansion(s, beta):
+    """H_s * S_beta from the zero-insertion sign sum at every candidate
+    shape of len(beta) or len(beta) + 1 parts: the full scan."""
+    n = len(beta)
+    size = sum(beta) + 1
+    out = {}
+    for reduced in chain(compositions_of(size, length=n),
+                         compositions_of(size, length=n + 1)):
+        c = zero_insertion_sign_sum(beta, reduced)
+        if c:
+            out[(reduced[0] + s - 1,) + reduced[1:]] = c
+    return LinComb("S", out)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(1, 3),
+       st.lists(st.integers(1, 8), max_size=5).filter(lambda b: sum(b) <= 20))
+def test_left_pieri_is_the_sign_sum_over_every_candidate(s, beta):
+    beta = tuple(beta)
+    assert left_pieri(s, beta) == sign_sum_expansion(s, beta)
 
 
 def test_translation_reduce():
