@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import lt, sub
 
 from .compositions import (
@@ -138,27 +139,27 @@ def enumerate_skew_immaculate(
     """All immaculate skew tableaux with the given inner shape and exact
     content; only the Yamanouchi or semistandard ones when asked.
 
-    A row of an immaculate tableau is determined by its multiset of entries,
-    so rows are chosen as sub-multisets of the remaining content, constrained
-    by first-column strictness (and by ``shape`` when given).  Emission order
-    is deterministic: lexicographic in the per-row count vectors.
+    A row of an immaculate tableau weakly increases, so its count vector k
+    (k_j copies of letter j) fixes it, and every constraint on a row bounds k:
 
-    A row below the inner shape starts column 1, and every later row starts
-    with a strictly larger letter, so that row starts with the smallest
-    remaining letter and takes all of its copies.  Read right to left, a
-    Yamanouchi row gives its j+1's before its j's, so it holds at most
-    used_j - used_(j+1) copies of j + 1 (``used``: the content above it); a
-    semistandard row holds no more entries <= v than the position of its
-    first cell under a letter >= v.  With ``shape`` given, a row's count
-    vector is cut off as soon as the letters still allowed cannot fill it,
-    so no row that fails is chosen.  The partial tableaux visited so far are
-    counted against ENUMERATION_LIMIT as the enumeration goes; every row
-    choice makes one, so the row search takes at most m + 1 steps per count.
+    - k_j <= ``caps[j]``, the remaining content; with ``yamanouchi`` also
+      k_j <= used_(j-1) - used_j (``used``: the content above the row), as
+      the row, read right to left, gives its j's before its (j-1)'s;
+    - k_1 + .. + k_j <= ``most[j]``: with ``semistandard``, the position of
+      the row's first cell under a letter >= j;
+    - ``low`` <= sum(k) <= ``high``: the row's size, when ``shape`` fixes it;
+    - k_j >= ``need[j]``: a row below the inner shape starts column 1, and
+      each later row starts with a larger letter, so it takes every copy of
+      the smallest remaining letter.
+
+    Each k_j is picked, in lexicographic order, from the range these bounds
+    leave, ``tail`` keeping the row total reachable.  Every partial tableau
+    visited counts against ENUMERATION_LIMIT as the enumeration goes.
     """
     inner = check_composition(inner)
     content_vec = tuple(content_vec)
-    if any(c < 0 for c in content_vec):
-        raise InvalidVectorError(f"negative content entry in {content_vec!r}")
+    if not all(type(c) is int and c >= 0 for c in content_vec):  # no bool
+        raise InvalidVectorError(f"content must be ints >= 0: {content_vec!r}")
     m = len(content_vec)
     total = sum(content_vec)
     if shape is not None:
@@ -172,74 +173,48 @@ def enumerate_skew_immaculate(
     visited = 0
     # pad[r]: inner cells of row r; each row below the inner shape uses up a letter
     pad = (0,) + inner + (0,) * (m + 1)
-
-    def row_choices(caps, most, lead, size):
-        """Count vectors with k_j <= caps_j and k_1 + .. + k_j <= most_j,
-        optionally of fixed total ``size``; yields (counts, row).  With ``lead``
-        given, the row takes every copy of letter ``lead + 1`` and no smaller."""
-        counts = [0] * m
-        start = placed = 0
-        if lead is not None:
-            counts[lead] = placed = caps[lead]
-            start = lead + 1
-        # tail[j]: letters still allowed at positions j..m-1
-        tail = [0] * (m + 1)
-        for j in range(m - 1, start - 1, -1):
-            tail[j] = tail[j + 1] + caps[j]
-
-        def rec(j, placed):
-            if j == m:
-                row = tuple(
-                    val for val in range(1, m + 1) for _ in range(counts[val - 1])
-                )
-                yield tuple(counts), row
-                return
-            low, top = 0, min(caps[j], most[j] - placed)
-            if size is not None:
-                low = max(0, size - placed - tail[j + 1])
-                top = min(top, size - placed)
-            for k in range(low, top + 1):
-                counts[j] = k
-                yield from rec(j + 1, placed + k)
-            counts[j] = 0
-
-        # if the row can be filled at all, every step has a choice
-        if size is None or placed <= size <= placed + tail[start] and all(
-            size - tail[j + 1] <= most[j] for j in range(start, m)
-        ):
-            yield from rec(start, placed)
+    # past row ``last`` with no content left a tableau is done; with ``shape``
+    # the fixed row sizes leave none
+    last = len(inner) if shape is None else len(shape)
 
     def extend(r, remaining, rows):
         nonlocal visited
         visited += 1
         check_enumeration("partial tableaux", visited)
-        if shape is not None:
-            if r > len(shape):  # the rows' fixed sizes used up the content
-                results.append(_tableau(inner, tuple(rows)))
-                return
-            size = shape[r - 1] - pad[r]
-        else:
-            if r > len(inner) and all(c == 0 for c in remaining):
-                results.append(_tableau(inner, tuple(rows)))
-                return
-            size = None
-        caps, most = remaining, (total,) * m
+        if r > last and not any(remaining):
+            results.append(_tableau(inner, tuple(rows)))
+            return
+        caps = remaining
         if yamanouchi:
             used = tuple(map(sub, content_vec, remaining))
             caps = tuple(map(min, caps, (total, *map(sub, used, used[1:]))))
+        most = (total,) * m
         if semistandard and r > 1:
             above, off = rows[-1], pad[r] - pad[r - 1]
             firsts = (max(off, bisect_left(above, v)) for v in range(1, m + 1))
             most = [q - off if q < len(above) else total for q in firsts]
-            caps = tuple(map(min, caps, most))
-        # a row starting column 1 starts with the smallest remaining letter
-        lead = None
+        low, high = (0, total) if shape is None else (shape[r - 1] - pad[r],) * 2
+        need = [0] * m
+        start = 0
         if r > len(inner):
-            lead = next(j for j, c in enumerate(remaining) if c)
-            if caps[lead] < remaining[lead]:
+            start = next(j for j, c in enumerate(remaining) if c)
+            need[start] = remaining[start]
+        tail = list(accumulate(caps[::-1], initial=0))[::-1]
+
+        def choices(j, placed, row, left):
+            if j == m:
+                yield row, left
                 return
-        for counts, row in row_choices(caps, most, lead, size):
-            extend(r + 1, tuple(map(sub, remaining, counts)), rows + [row])
+            for k in range(
+                max(need[j], low - placed - tail[j + 1]),
+                min(caps[j], most[j] - placed, high - placed) + 1,
+            ):
+                yield from choices(
+                    j + 1, placed + k, row + (j + 1,) * k, left + (remaining[j] - k,)
+                )
+
+        for row, left in choices(start, 0, (), remaining[:start]):
+            extend(r + 1, left, rows + [row])
 
     extend(1, content_vec, [])
     return results

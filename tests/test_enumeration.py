@@ -13,6 +13,7 @@ in the same order.
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from immaculate.compositions import compositions_of
 from immaculate.tableaux import (
@@ -97,6 +98,35 @@ def test_pruned_enumerator_matches_naive_order():
             ], (inner, content_vec, shape, yamanouchi, semistandard)
         n += 1
     assert n == 8922
+
+
+@st.composite
+def past_the_exhaustive_range(draw):
+    """|inner| <= 4; four letters, leading zeros allowed, total <= 7; no
+    shape, or a composition of the right size."""
+    inner = draw(st.sampled_from([c for a in range(5) for c in compositions_of(a)]))
+    content_vec = []
+    for _ in range(4):
+        content_vec.append(draw(st.integers(0, min(3, 7 - sum(content_vec)))))
+    size = sum(inner) + sum(content_vec)
+    shape = draw(st.none() | st.sampled_from(list(compositions_of(size))))
+    return inner, tuple(content_vec), shape
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(past_the_exhaustive_range(), st.sampled_from(FLAGS))
+def test_pruned_enumerator_matches_naive_past_the_exhaustive_range(case, flags):
+    inner, content_vec, shape = case
+    yamanouchi, semistandard = flags
+    got = enumerate_skew_immaculate(
+        inner, content_vec, shape=shape,
+        yamanouchi=yamanouchi, semistandard=semistandard,
+    )
+    assert got == [
+        t for t in naive_enumerate(inner, content_vec, shape)
+        if (not yamanouchi or is_yamanouchi(t))
+        and (not semistandard or is_semistandard(t))
+    ]
 
 
 @pytest.mark.parametrize("n, bell", [(8, 4140), (9, 21147)])

@@ -132,6 +132,40 @@ def test_enumeration_counts_partial_tableaux(monkeypatch):
         enumerate_skew_immaculate((1,), (1, 1, 1))
 
 
+# (inner, content, options, tableaux, partial tableaux visited)
+PARTIAL_TABLEAU_COUNTS = [
+    ((), (1,) * 8, {}, 4140, 8280),
+    ((2, 1), (8, 6, 4, 2), {"yamanouchi": True}, 9342, 21173),
+    ((1,), (3, 3, 2, 2), {"semistandard": True}, 811, 1847),
+    ((1,), (3, 3, 2, 2), {"shape": (4, 3, 2, 1, 1)}, 17, 135),
+    ((3, 2, 1), (3, 2, 1),
+     {"shape": (5, 4, 2, 1), "yamanouchi": True, "semistandard": True}, 4, 12),
+    ((10, 10), (30, 20, 20),
+     {"shape": (30, 30, 10, 10, 10), "yamanouchi": True}, 45, 159),
+]
+
+
+@pytest.mark.parametrize("inner, content_vec, options, tableaux, partial",
+                         PARTIAL_TABLEAU_COUNTS)
+def test_enumeration_partial_tableau_counts_are_pinned(
+    monkeypatch, inner, content_vec, options, tableaux, partial
+):
+    monkeypatch.setattr(LIMIT, partial)
+    found = enumerate_skew_immaculate(inner, content_vec, **options)
+    assert len(found) == tableaux
+    monkeypatch.setattr(LIMIT, partial - 1)
+    with pytest.raises(ResourceLimitError,
+                       match=f"{partial} partial tableaux .limit {partial - 1}"):
+        enumerate_skew_immaculate(inner, content_vec, **options)
+
+
+@pytest.mark.parametrize("content_vec", [(1.5,), ("1",), (True, 1), (2.0,), (-1,)])
+def test_enumerate_rejects_bad_content(content_vec):
+    # entries are ints >= 0: no float, string or bool, and nothing negative
+    with pytest.raises(InvalidVectorError):
+        enumerate_skew_immaculate((), content_vec)
+
+
 def test_sigma_of():
     sigma = sigma_of(T_EXAMPLE, (3, 1, 4))
     assert sigma == Permutation((1, 3, 2))
