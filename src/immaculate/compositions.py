@@ -8,8 +8,8 @@ zeros or negative entries) are also plain tuples.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 from math import comb, prod
 from operator import add
@@ -209,33 +209,36 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
+def _cycle_sign(images: tuple) -> int:
+    """(-1)^(m - number of cycles) of the permutation with these images."""
+    parity = len(images)
+    seen = [False] * (len(images) + 1)
+    for start in images:
+        if not seen[start]:
+            parity -= 1
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = images[i - 1]
+    return -1 if parity % 2 else 1
+
+
+@dataclass(frozen=True, slots=True)
 class Permutation:
-    """A permutation of {1..m} in one-line notation."""
+    """A permutation of {1..m} in one-line notation.  Its ``sign`` is stored
+    when it is built; equality, hashing and ``repr`` read ``images`` only."""
 
     images: tuple
+    sign: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         images = tuple(self.images)
-        object.__setattr__(self, "images", images)
         # type(i) is int: True == 1, but a bool is no image
         if (not all(type(i) is int for i in images)
                 or sorted(images) != list(range(1, len(images) + 1))):
             raise PreconditionError(f"not a permutation: {images!r}")
-
-    @cached_property
-    def sign(self) -> int:
-        # (-1)^(m - number of cycles)
-        parity = len(self.images)
-        seen = [False] * (len(self.images) + 1)
-        for start in self.images:
-            if not seen[start]:
-                parity -= 1
-                i = start
-                while not seen[i]:
-                    seen[i] = True
-                    i = self.images[i - 1]
-        return -1 if parity % 2 else 1
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "sign", _cycle_sign(images))
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -265,14 +268,18 @@ class Permutation:
         return _permutation(tuple(images))
 
 
+# the slots' own setters: a frozen dataclass refuses plain assignment
+_set_images = Permutation.images.__set__
+_set_sign = Permutation.sign.__set__
+
+
 def _permutation(images: tuple, sign: int | None = None) -> Permutation:
-    """A permutation whose images the package built itself: no check.  A
-    ``sign`` the caller already knows is stored, so ``sign`` is never
-    computed from the cycles."""
+    """A permutation whose images the package built itself: no check.  The
+    ``sign`` the caller already knows is stored; without one it is counted
+    from the cycles."""
     p = object.__new__(Permutation)
-    p.__dict__["images"] = images
-    if sign is not None:
-        p.__dict__["sign"] = sign
+    _set_images(p, images)
+    _set_sign(p, _cycle_sign(images) if sign is None else sign)
     return p
 
 
@@ -282,11 +289,11 @@ def permutation_floors(alpha) -> tuple:
     return tuple(max(1, i - a) for i, a in enumerate(alpha, 1))
 
 
-@lru_cache(maxsize=None)
-def permutations(m: int, floors=()) -> tuple:
+def permutations(m: int, floors: tuple = ()) -> tuple:
     """The permutations sigma of {1..m} with sigma_i >= floors[i-1], in
     lexicographic order, each with its sign stored; positions past the end
-    of ``floors`` are unbounded.
+    of ``floors`` are unbounded.  ``m`` is an int >= 0 and ``floors`` a
+    tuple of at most m ints (no bool or float); the answers are cached.
 
     Positions are filled in order of decreasing floor.  A value that clears
     one floor clears every later, lower one, so every partial filling
@@ -298,12 +305,21 @@ def permutations(m: int, floors=()) -> tuple:
     free, j its rank among them, and each of those is placed later: read in
     filling order, sigma has sum(j) inversions.  So sign(sigma) is the sign
     of the filling order times (-1)^sum(j), carried along as the positions
-    are filled.
+    are filled.  The filling order is a stable sort by decreasing floor, so
+    its inversions are the pairs of positions i < k with floor_i < floor_k.
     """
-    if m < 0:
-        raise PreconditionError(f"m must be >= 0, got {m}")
+    if type(m) is not int or m < 0:
+        raise PreconditionError(f"m must be an int >= 0, got {m!r}")
+    if type(floors) is not tuple or not all(type(f) is int for f in floors):
+        raise PreconditionError(f"floors must be a tuple of ints, got {floors!r}")
     if len(floors) > m:
         raise PreconditionError(f"{len(floors)} floors for S_{m}")
+    return _floored_permutations(m, floors)
+
+
+@lru_cache(maxsize=None)
+def _floored_permutations(m: int, floors: tuple) -> tuple:
+    """``permutations`` for checked arguments."""
     floors = floors + (1,) * (m - len(floors))
     order = sorted(range(m), key=lambda i: -floors[i])
     survivors = prod(max(0, m + 1 - max(floors[i], 1) - t)
@@ -328,15 +344,26 @@ def permutations(m: int, floors=()) -> tuple:
             images[i] = free[j]
             fill(t + 1, free[:j] + free[j + 1:], -sign if j & 1 else sign)
 
-    fill(0, tuple(range(1, m + 1)), _permutation(tuple(i + 1 for i in order)).sign)
+    inversions = sum(f < g for i, f in enumerate(floors) for g in floors[i + 1:])
+    fill(0, tuple(range(1, m + 1)), -1 if inversions & 1 else 1)
     found.sort()
     return tuple(_permutation(images, sign) for images, sign in found)
+
+
+# The cache sits behind the checks, so an argument equal to a cached one
+# (True == 1, 2.0 == 2) is still refused; it is read and emptied through
+# the public name.
+permutations.cache_info = _floored_permutations.cache_info
+permutations.cache_clear = _floored_permutations.cache_clear
+permutations.__wrapped__ = _floored_permutations.__wrapped__
 
 
 def shifted_entries(alpha) -> Iterator[tuple]:
     """The terms of a signed permutation sum over ``alpha``: the pairs
     (sigma, entries) with entries_i = alpha_i + sigma_i - i, in lexicographic
-    order of sigma, for every sigma that leaves no entry negative."""
+    order of sigma, for every sigma that leaves no entry negative.  The two
+    tableau routes read their sums from here; the S -> H and s -> h
+    expansions build their indices from ``permutations`` directly."""
     base = tuple(a - i for i, a in enumerate(alpha, 1))
     for sigma in permutations(len(alpha), permutation_floors(alpha)):
         yield sigma, tuple(map(add, base, sigma.images))

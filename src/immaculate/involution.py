@@ -17,7 +17,7 @@ from .tableaux import SkewTableau, _tableau, is_immaculate, sigma_of
 Rows = tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellRef:
     """1-based (row, column) reference into a straight-shape tableau."""
 

@@ -11,11 +11,13 @@ contributes a strictly larger index in graded-lex order.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from .compositions import (
     check_composition,
     check_enumeration,
-    shifted_entries,
+    permutation_floors,
+    permutations,
     sort_composition,
 )
 from .errors import PreconditionError
@@ -68,13 +70,15 @@ def immaculate_to_H(alpha) -> LinComb:
     """Expand S_alpha in the H basis via the signed permutation sum.
 
     Each permutation sigma contributes sign(sigma) * H at the index of its
-    shifted entries (``shifted_entries``) with the zeros deleted (H_0 = 1);
-    a negative entry kills the term (H_m = 0 for m < 0) and is never made.
+    shifted entries alpha_i + sigma_i - i with the zeros deleted (H_0 = 1);
+    a negative entry kills the term (H_m = 0 for m < 0), so only the sigma
+    above ``permutation_floors(alpha)`` are visited.
     """
     alpha = check_composition(alpha)
+    base = tuple(a - i for i, a in enumerate(alpha, 1))
     out = {}
-    for sigma, entries in shifted_entries(alpha):
-        idx = tuple(filter(None, entries))
+    for sigma in permutations(len(alpha), permutation_floors(alpha)):
+        idx = tuple(filter(None, map(add, base, sigma.images)))
         out[idx] = out.get(idx, 0) + sigma.sign
     return _built("H", out)
 

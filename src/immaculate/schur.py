@@ -6,14 +6,16 @@ Littlewood-Richardson routes, the symmetric Pieri rule, and saturation checks.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from .compositions import (
     check_partition,
     check_positive,
     horizontal_strip_successors,
     is_partition,
+    permutation_floors,
+    permutations,
     scale,
-    shifted_entries,
     sort_composition,
 )
 from .errors import PreconditionError
@@ -26,14 +28,16 @@ from .tableaux import count_immaculate_LR, enumerate_skew_immaculate
 def schur_to_h(lam) -> LinComb:
     """Expand s_lam in the h basis by the signed sum over permutations.
 
-    The index of a term is its shifted entries (``shifted_entries``) with
-    h_0 = 1 and h_m = 0 for m < 0, sorted into a partition; equal indices
-    are merged.
+    The index of a term is its shifted entries lam_i + sigma_i - i with
+    h_0 = 1 and h_m = 0 for m < 0 (only the sigma above
+    ``permutation_floors(lam)`` are visited), sorted into a partition; equal
+    indices are merged.
     """
     lam = check_partition(lam)
+    base = tuple(a - i for i, a in enumerate(lam, 1))
     out = {}
-    for sigma, entries in shifted_entries(lam):
-        idx = sort_composition(filter(None, entries))
+    for sigma in permutations(len(lam), permutation_floors(lam)):
+        idx = sort_composition(filter(None, map(add, base, sigma.images)))
         out[idx] = out.get(idx, 0) + sigma.sign
     return _built("h", out)
 

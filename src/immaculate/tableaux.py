@@ -27,7 +27,7 @@ from .errors import InvalidVectorError, PreconditionError
 from .linear import LinComb, _built
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SkewTableau:
     """Inner shape plus row-wise filled entries."""
 
@@ -70,11 +70,17 @@ class SkewTableau:
         return tuple(row[0] for row in self.rows[len(self.inner):] if row)
 
 
+# the slots' own setters: a frozen dataclass refuses plain assignment
+_set_inner = SkewTableau.inner.__set__
+_set_rows = SkewTableau.rows.__set__
+
+
 def _tableau(inner: tuple, rows: tuple) -> SkewTableau:
     """A tableau the package built itself, with at least ``len(inner)``
     rows: no check."""
     t = object.__new__(SkewTableau)
-    t.__dict__.update(inner=inner, rows=rows)
+    _set_inner(t, inner)
+    _set_rows(t, rows)
     return t
 
 

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from immaculate.compositions import (
     Permutation,
+    _cycle_sign,
+    _permutation,
     add_prefix,
     compositions_of,
     horizontal_strip_successors,
@@ -204,6 +206,20 @@ def test_permutations_rejects_too_many_floors():
         permutations(2, (1, 1, 1))
 
 
+@pytest.mark.parametrize("m, floors", [
+    (True, ()), (False, ()), (2.0, ()), (-1, ()), ("3", ()), (None, ()),
+    (3, (1.5,)), (3, (True, 3)), (3, (2, 3.0)), (3, [1]), (3, (1, None)), (3, 2),
+])
+def test_permutations_checks_its_arguments(m, floors):
+    # m is an int >= 0 and floors a tuple of ints, no bool or float; the
+    # check comes before the cache, so an equal argument cached first
+    # (True == 1, 2.0 == 2, (True, 3) == (1, 3)) does not let one through
+    for cached in ((0, ()), (1, ()), (2, ()), (3, (1,)), (3, (1, 3)), (3, (2, 3))):
+        permutations(*cached)
+    with pytest.raises(PreconditionError):
+        permutations(m, floors)
+
+
 def test_sign_is_inversion_parity():
     for m in range(7):
         for p in permutations(m):
@@ -240,34 +256,60 @@ def test_permutation_rejects_non_int_images(images):
         Permutation(images)
 
 
-def assert_signs_stored_and_walked(built, walked):
-    for p in built:
-        assert "sign" in vars(p), p.images
-        assert p.sign == walked[p.images], p.images
+CYCLE_SIGN = "immaculate.compositions._cycle_sign"
 
 
-def test_permutations_store_the_walked_sign_under_every_floors():
-    # the sign is carried through the filling, whose order the floors fix:
-    # for m <= 5 every floors vector of every length with entries 0..m+1
-    # (0 and 1 bound nothing but order the filling differently), for m = 6
-    # every full-length one with entries 1..6; built uncached
+def refuse_to_count(images):
+    raise AssertionError(f"sign of {images!r} counted from its cycles")
+
+
+def test_permutations_store_the_walked_sign_under_every_floors(monkeypatch):
+    # the sign is carried through the filling, whose order the floors fix,
+    # and not counted from the cycles: for m <= 5 every floors vector of
+    # every length with entries 0..m+1 (0 and 1 bound nothing but order the
+    # filling differently), for m = 6 every full-length one with entries
+    # 1..6; the cycle-count signs are taken first, then the builds run
+    # uncached with the cycle count refused
+    counted = {p: Permutation(p).sign
+               for m in range(7) for p in itertools.permutations(range(1, m + 1))}
+    monkeypatch.setattr(CYCLE_SIGN, refuse_to_count)
     build = permutations.__wrapped__
     for m in range(7):
-        walked = {p: Permutation(p).sign for p in itertools.permutations(range(1, m + 1))}
         lengths, entries = (range(m + 1), range(m + 2)) if m < 6 else ((m,), range(1, m + 1))
         for length in lengths:
             for floors in itertools.product(entries, repeat=length):
-                assert_signs_stored_and_walked(build(m, floors), walked)
+                for p in build(m, floors):
+                    assert p.sign == counted[p.images], (p.images, floors)
 
 
-def test_permutations_store_the_walked_sign_under_composition_floors():
-    permutations.cache_clear()
-    for n in range(11):
-        for alpha in compositions_of(n):
-            built = permutations(len(alpha), permutation_floors(alpha))
-            walked = {p.images: Permutation(p.images).sign for p in built}
-            assert_signs_stored_and_walked(built, walked)
-    permutations.cache_clear()
+def test_permutations_store_the_walked_sign_under_composition_floors(monkeypatch):
+    # the 168 floors vectors of the compositions of size <= 10
+    build = permutations.__wrapped__
+    cases = sorted({(len(alpha), permutation_floors(alpha))
+                    for n in range(11) for alpha in compositions_of(n)})
+    assert len(cases) == 168
+    counted = [{p.images: Permutation(p.images).sign for p in build(m, floors)}
+               for m, floors in cases]
+    monkeypatch.setattr(CYCLE_SIGN, refuse_to_count)
+    for (m, floors), signs in zip(cases, counted):
+        assert {p.images: p.sign for p in build(m, floors)} == signs, floors
+
+
+def test_permutation_sign_is_stored_and_ignored_by_value_semantics():
+    # the sign is a stored field, left out of repr, == and hash
+    p = Permutation((2, 1, 3))
+    wrong = _permutation((2, 1, 3), 1)
+    assert (p.sign, wrong.sign) == (-1, 1)
+    assert p == wrong and hash(p) == hash(wrong)
+    assert repr(p) == repr(wrong) == "Permutation(images=(2, 1, 3))"
+    assert _permutation((1, 2), -1).sign == -1
+    # the public constructor and the unchecked builder without a sign both
+    # count cycles
+    for images in itertools.permutations(range(1, 6)):
+        assert Permutation(images).sign == _cycle_sign(images) == inversion_sign(images)
+        assert _permutation(images).sign == _cycle_sign(images)
+    with pytest.raises(PreconditionError, match="not a permutation"):
+        Permutation((1, True))
 
 
 def test_compositions_of_counts():

@@ -1,9 +1,13 @@
 """No dead code in the package: every import a module makes is used in it,
 every private module-level function is referenced somewhere in the
 package, and every public one somewhere in the package, the tests or the
-benchmark harness.  ``__init__.py`` only re-exports, so it is left out."""
+benchmark harness.  ``__init__.py`` only re-exports, so it is left out.
+Every value class is a frozen, slotted dataclass."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 import immaculate
@@ -96,3 +100,18 @@ def test_sweeps_import_no_private_names():
     private = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_value_classes_are_frozen_and_slotted():
+    # no instance carries a __dict__: many are built and cached, and a
+    # per-instance dict costs memory and cyclic-GC time
+    classes = [value for path in MODULES
+               for module in [importlib.import_module(f"immaculate.{path.stem}")]
+               for value in vars(module).values()
+               if inspect.isclass(value) and dataclasses.is_dataclass(value)
+               and value.__module__ == module.__name__]
+    assert {cls.__name__ for cls in classes} >= {"Permutation", "SkewTableau", "CellRef"}
+    for cls in classes:
+        assert cls.__dataclass_params__.frozen, cls
+        assert "__slots__" in vars(cls), cls
+        assert not hasattr(object.__new__(cls), "__dict__"), cls
