@@ -45,15 +45,15 @@ def check_positive(what: str, value):
         raise PreconditionError(f"{what} must be >= 1, got {value}")
 
 
-def check_partition(lam) -> tuple:
-    lam = check_composition(lam)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise PreconditionError(f"not weakly decreasing: {lam!r}")
-    return lam
-
-
 def is_partition(alpha) -> bool:
     return all(alpha[i] >= alpha[i + 1] for i in range(len(alpha) - 1))
+
+
+def check_partition(lam) -> tuple:
+    lam = check_composition(lam)
+    if not is_partition(lam):
+        raise PreconditionError(f"not weakly decreasing: {lam!r}")
+    return lam
 
 
 def sort_composition(alpha) -> tuple:
@@ -72,11 +72,6 @@ def add_prefix(alpha, v) -> tuple:
     if len(v) > len(alpha):
         raise PreconditionError(f"prefix {v!r} longer than {alpha!r}")
     return tuple(a + w for a, w in zip(alpha, v)) + tuple(alpha[len(v):])
-
-
-def grlex_key(alpha):
-    """Sort key for the canonical graded, then lexicographic order."""
-    return (sum(alpha), alpha)
 
 
 def right_pieri_successors(alpha, s: int) -> list:

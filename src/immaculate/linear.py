@@ -31,6 +31,7 @@ class LinComb:
         items = terms.items() if isinstance(terms, dict) else terms or ()
         for index, coeff in items:
             index = check(index)
+            _check_coefficient(coeff)
             summed[index] = summed.get(index, 0) + coeff
         self.basis = basis
         self.terms = {idx: c for idx, c in summed.items() if c}
@@ -72,6 +73,7 @@ class LinComb:
         return self.scaled(-1)
 
     def scaled(self, scalar: int):
+        _check_coefficient(scalar)
         return _built(self.basis, {idx: scalar * c for idx, c in self.terms.items()})
 
     def __rmul__(self, scalar):
@@ -127,6 +129,12 @@ class LinComb:
             data["basis"],
             [(tuple(t["index"]), t["coefficient"]) for t in data["terms"]],
         )
+
+
+def _check_coefficient(c):
+    # type(c) is int: a bool is an int too, but no coefficient
+    if type(c) is not int:
+        raise PreconditionError(f"coefficient must be an int, got {c!r}")
 
 
 def _built(basis: str, terms: dict) -> LinComb:

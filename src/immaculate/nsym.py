@@ -106,7 +106,7 @@ def product_in_S_oracle(alpha, beta) -> LinComb:
 
 def structure_constant(alpha, beta, gamma) -> int:
     """Coefficient of S_gamma in S_alpha * S_beta."""
-    gamma = check_composition(gamma)
+    alpha, beta, gamma = map(check_composition, (alpha, beta, gamma))
     if sum(gamma) != sum(alpha) + sum(beta):
         return 0
-    return product_in_S_oracle(tuple(alpha), tuple(beta)).coefficient(gamma)
+    return product_in_S_oracle(alpha, beta).coefficient(gamma)

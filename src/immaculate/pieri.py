@@ -1,9 +1,11 @@
 """Right and left Pieri rules, translation reduction, and the closed-form
 coefficient for a single-row left factor.
 
-The left rule works through a membership test on candidate row-length vectors
-(one more than the filled first-row length, followed by a possibly-zero tail)
-and a sign that counts negative entries of beta minus the tail.  The
+The left rule works through one membership condition Z on candidate
+row-length vectors (one more than the filled first-row length, followed by a
+possibly-zero tail), a walk on a running threshold stated in
+``z_membership`` and read in two forms, ``_threshold`` and ``_steps``, and a
+sign that counts negative entries of beta minus the tail.  The
 candidates with no zero part that pass the test are walked directly, one
 running threshold at a time, from per-row bounds; the shapes one part shorter,
 where the signs cancel, are scanned.
@@ -56,16 +58,14 @@ def sgn(d) -> int:
 
 
 def z_membership(delta, beta) -> bool:
-    """Fixed-point condition for the candidate ``delta`` against ``beta``.
+    """Fixed-point condition Z for the candidate ``delta`` against ``beta``.
 
     ``delta`` is a tuple: the filled first-row length plus one, then the
-    lengths d_1..d_n of the rows starting with 1..n (zeros allowed).  With
-    s = delta_1 - 1 and running threshold t_i = s + sum_{j<i} (d_j - beta_j):
-      beta_i < t_i  requires beta_i < d_i;
-      beta_i > t_i  requires beta_i >= d_i >= sum_{j<=i} beta_j
-                    - sum_{j<i} d_j - s;
-      beta_i = t_i  requires beta_i < d_i, or d_i = 0 with
-                    beta_j = d_j for every j > i.
+    lengths d_1..d_n of the rows starting with 1..n (zeros allowed).  Z is a
+    walk on a threshold t, starting at t = delta_1 - 1: row i takes t to
+    u = t + d_i - beta_i, and passes when 0 <= u <= t if beta_i > t, and when
+    u > t otherwise.  The one exception is a zero row: d_i = 0 passes when
+    beta_i = t and d_j = beta_j for every j > i.
     """
     beta = check_composition(beta)
     n = len(beta)
@@ -76,41 +76,30 @@ def z_membership(delta, beta) -> bool:
         raise PreconditionError(f"delta entries must be integers: {delta!r}")
     if delta[0] < 1 or any(d < 0 for d in delta):
         raise PreconditionError(f"need delta_1 >= 1 and no negative entry: {delta!r}")
-    return _z_member(delta, beta)
+    delta = tuple(delta)
+    if 0 in delta:
+        k = delta.index(0)
+        return delta[k + 1:] == beta[k:] and _threshold(delta[:k], beta) == beta[k - 1]
+    return _threshold(delta, beta) is not None
 
 
-def _z_member(delta, beta) -> bool:
-    """``z_membership`` without its checks, for a candidate built from a
-    checked gamma against a checked beta."""
-    n = len(beta)
-    s = delta[0] - 1
-    threshold = s
-    beta_prefix = 0
-    delta_prefix = 0
-    for i in range(n):
-        b, d = beta[i], delta[i + 1]
-        beta_prefix += b
-        if b < threshold:
-            if not b < d:
-                return False
-        elif b > threshold:
-            if not (b >= d >= beta_prefix - delta_prefix - s):
-                return False
-        else:
-            if not (
-                b < d
-                or (d == 0 and all(beta[j] == delta[j + 1] for j in range(i + 1, n)))
-            ):
-                return False
-        delta_prefix += d
-        threshold = s + (delta_prefix - beta_prefix)
-    return True
+def _threshold(delta, beta):
+    """The threshold t of Z after the rows of ``delta`` (a prefix of a
+    candidate, no zero row), or None when a row fails; ``_steps`` is the same
+    rule as a range."""
+    t = delta[0] - 1
+    for b, d in zip(beta, delta[1:]):
+        u = t + d - b
+        if not ((0 <= u <= t) if b > t else u > t):
+            return None
+        t = u
+    return t
 
 
-def _zero_inserted(gamma, k: int) -> tuple:
-    """The candidate with the zero row placed after position k:
-    gamma_1..gamma_k, 0, gamma_{k+1}..gamma_n."""
-    return gamma[:k] + (0,) + gamma[k:]
+def _steps(b: int, t: int, cap: int) -> range:
+    """The thresholds below ``cap`` that Z lets a row of length beta_i = b
+    take t to."""
+    return range(min(t + 1, cap)) if b > t else range(t + 1, cap)
 
 
 def left_pieri_unit_coefficient(beta, gamma) -> int:
@@ -121,7 +110,7 @@ def left_pieri_unit_coefficient(beta, gamma) -> int:
     if sum(gamma) != 1 + sum(beta):
         return 0
     if len(gamma) == n + 1:
-        if _z_member(gamma, beta):
+        if _threshold(gamma, beta) is not None:
             return sgn(tuple(beta[i] - gamma[i + 1] for i in range(n)))
         return 0
     if len(gamma) == n and n >= 1:
@@ -129,7 +118,8 @@ def left_pieri_unit_coefficient(beta, gamma) -> int:
         k = n
         while k > 1 and beta[k - 1] == gamma[k - 1]:
             k -= 1
-        if not _z_member(_zero_inserted(gamma, k), beta):
+        # Z for gamma with a zero row inserted after position k
+        if _threshold(gamma[:k], beta) != beta[k - 1]:
             return 0
         # largest r with beta weakly chained upward from k
         r = k
@@ -152,7 +142,7 @@ def zero_insertion_sign_sum(beta, gamma) -> int:
     if len(gamma) == n + 1:
         candidates = {gamma}
     elif len(gamma) == n and n >= 1:
-        candidates = {_zero_inserted(gamma, k) for k in range(1, n + 1)}
+        candidates = {gamma[:k] + (0,) + gamma[k:] for k in range(1, n + 1)}
     else:
         return 0
     return sum(
@@ -190,21 +180,20 @@ def _z_member_count(beta, reach) -> int:
     ways = [1]
     for i in range(len(beta) - 1, -1, -1):
         below = list(accumulate(ways, initial=0))    # below[k] = sum(ways[:k])
-        ways = [below[min(t + 1, len(ways))] if beta[i] > t
-                else below[-1] - below[t + 1] for t in range(reach[i])]
+        ways = [below[r.stop] - below[r.start]
+                for r in (_steps(beta[i], t, reach[i + 1]) for t in range(reach[i]))]
     return sum(ways)
 
 
 def _z_members(beta, reach):
-    """Exactly the (n+1)-part compositions delta of |beta| + 1 that pass
-    ``_z_member(delta, beta)``, in lexicographic order, with no scan.
+    """Exactly the (n+1)-part compositions delta of |beta| + 1 that pass Z,
+    in lexicographic order, with no scan.
 
-    With positive parts the test is a walk on the running threshold t of
-    ``z_membership``, starting at t = delta_1 - 1: at row i, t' = t + d_i -
-    beta_i is any value above t when beta_i <= t (so d_i > beta_i), and any
-    value from 0 to t otherwise (so beta_i >= d_i >= beta_i - t); the sum
-    |beta| + 1 is a walk that ends at t = 0.  Every threshold kept below
-    ``reach`` finishes at least one walk, so no branch is dead.
+    With positive parts Z is the threshold walk of ``z_membership``,
+    starting at t = delta_1 - 1, and d_i = beta_i + u - t at each step t to
+    u that ``_steps`` allows; the sum |beta| + 1 is a walk that ends at
+    t = 0.  Every threshold kept below ``reach`` finishes at least one walk,
+    so no branch is dead.
     """
     n = len(beta)
     delta = [0] * (n + 1)
@@ -220,10 +209,8 @@ def _z_members(beta, reach):
         delta[i] = t + 1 if i == 0 else beta[i - 1] + t - thresholds[i - 1]
         if i == n:
             yield tuple(delta)
-        elif beta[i] > t:
-            choices.append(iter(range(min(t + 1, reach[i + 1]))))
         else:
-            choices.append(iter(range(t + 1, reach[i + 1])))
+            choices.append(iter(_steps(beta[i], t, reach[i + 1])))
 
 
 def left_pieri(s: int, beta) -> LinComb:

@@ -20,7 +20,7 @@ from .compositions import (
 )
 from .errors import PreconditionError
 from .linear import LinComb, _built, triangular_inverse
-from .nsym import structure_constant, sym_multiply
+from .nsym import _require, structure_constant, sym_multiply
 from .tableaux import count_immaculate_LR, enumerate_skew_immaculate
 
 
@@ -45,8 +45,7 @@ def schur_to_h(lam) -> LinComb:
 def h_to_schur(f: LinComb) -> LinComb:
     """Invert the h expansion of the Schur basis by triangular elimination
     over partitions in graded-lex order."""
-    if f.basis != "h":
-        raise PreconditionError(f"expected basis 'h', got {f.basis!r}")
+    _require(f, "h")
     return triangular_inverse(f, schur_to_h, "s")
 
 
@@ -60,10 +59,10 @@ def schur_product_in_s(mu, nu) -> LinComb:
 
 def lr_coefficient_algebra(mu, nu, lam) -> int:
     """Structure constant extracted from the algebraic product route."""
-    lam = check_partition(lam)
+    mu, nu, lam = map(check_partition, (mu, nu, lam))
     if sum(lam) != sum(mu) + sum(nu):
         return 0
-    return schur_product_in_s(tuple(mu), tuple(nu)).coefficient(lam)
+    return schur_product_in_s(mu, nu).coefficient(lam)
 
 
 def lr_coefficient_tableau(mu, nu, lam) -> int:

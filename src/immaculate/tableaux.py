@@ -103,20 +103,22 @@ def content(t: SkewTableau, m: int) -> tuple:
     return tuple(counts)
 
 
+def _rows_weakly_increase(t: SkewTableau) -> bool:
+    return all(row[i] <= row[i + 1] for row in t.rows for i in range(len(row) - 1))
+
+
 def is_immaculate(t: SkewTableau) -> bool:
     """Rows weakly increase; the filled first column strictly increases."""
-    for row in t.rows:
-        if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
-            return False
+    if not _rows_weakly_increase(t):
+        return False
     col = t.first_column()
     return all(col[i] < col[i + 1] for i in range(len(col) - 1))
 
 
 def is_semistandard(t: SkewTableau) -> bool:
     """Rows weakly increase; every column strictly increases."""
-    for row in t.rows:
-        if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
-            return False
+    if not _rows_weakly_increase(t):
+        return False
     for r in range(2, len(t.rows) + 1):
         off = t.inner_at(r)
         off_above = t.inner_at(r - 1)

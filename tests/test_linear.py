@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from immaculate.compositions import compositions_of, grlex_key, partitions_of
+from immaculate.compositions import compositions_of, partitions_of
 from immaculate.errors import PreconditionError
 from immaculate.linear import BASES, LinComb, _built
 
@@ -30,6 +30,15 @@ def test_partition_bases_reject_compositions():
         {"basis": "H", "terms": [{"coefficient": 1, "index": [0]}]}),
     lambda: LinComb.from_json_dict(
         {"basis": "S", "terms": [{"coefficient": 1, "index": [True, 2]}]}),
+    lambda: LinComb("S", {(1,): 0.5}),
+    lambda: LinComb("S", {(1,): 1.0}),
+    lambda: LinComb("S", {(1,): True}),
+    lambda: LinComb("S", {(1,): "1"}),
+    lambda: LinComb.from_json_dict(
+        {"basis": "S", "terms": [{"coefficient": 0.5, "index": [1]}]}),
+    lambda: LinComb.monomial("S", (1,)).scaled(0.5),
+    lambda: LinComb.monomial("S", (1,)).scaled(True),
+    lambda: True * LinComb.monomial("S", (1,)),
 ])
 def test_public_constructors_reject_bad_input(build):
     with pytest.raises(PreconditionError):
@@ -44,6 +53,11 @@ def test_basis_mismatch():
 def test_items_graded_lex_order():
     f = LinComb("S", {(3,): 1, (1, 2): 2, (2,): -1, (1, 1, 1): 5})
     assert [idx for idx, _ in f.items()] == [(2,), (1, 1, 1), (1, 2), (3,)]
+
+
+def grlex_key(alpha):
+    """Sort key for the graded, then lexicographic order."""
+    return (sum(alpha), alpha)
 
 
 @pytest.mark.parametrize("basis", BASES)

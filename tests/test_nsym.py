@@ -3,7 +3,7 @@ import random
 import pytest
 
 from immaculate.compositions import compositions_of
-from immaculate.errors import ResourceLimitError
+from immaculate.errors import PreconditionError, ResourceLimitError
 from immaculate.linear import LinComb
 from immaculate.nsym import (
     H_to_immaculate,
@@ -149,6 +149,17 @@ def test_structure_constants():
     assert structure_constant((2, 2), (6, 4, 4), (6, 6, 2, 2, 2)) == 1
     assert structure_constant((2,), (2, 4), (5, 3)) == -1
     assert structure_constant((1,), (1,), (3,)) == 0  # degree mismatch
+
+
+@pytest.mark.parametrize("alpha,beta,gamma", [
+    ((0,), (1,), (5,)),
+    ((1,), (True,), (5,)),
+    ((1,), (1,), (0,)),
+], ids=["alpha", "beta", "gamma"])
+def test_structure_constant_checks_every_argument_first(alpha, beta, gamma):
+    # each triple fails the degree test too; the checks come before it
+    with pytest.raises(PreconditionError, match="not a composition"):
+        structure_constant(alpha, beta, gamma)
 
 
 def test_associativity_small():

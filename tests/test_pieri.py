@@ -1,4 +1,5 @@
-from itertools import chain
+import sys
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +81,66 @@ def test_z_membership_rejects_non_int_entries(delta):
     # True == 1, but a bool is no row length
     with pytest.raises(PreconditionError, match="delta entries must be integers"):
         z_membership(delta, (1,))
+
+
+def prefix_sum_membership(delta, beta):
+    """Z in its prefix-sum form: with s = delta_1 - 1 and running threshold
+    t_i = s + sum_{j<i} (d_j - beta_j),
+      beta_i < t_i  requires beta_i < d_i;
+      beta_i > t_i  requires beta_i >= d_i >= sum_{j<=i} beta_j
+                    - sum_{j<i} d_j - s;
+      beta_i = t_i  requires beta_i < d_i, or d_i = 0 with
+                    beta_j = d_j for every j > i."""
+    n = len(beta)
+    s = delta[0] - 1
+    threshold = s
+    beta_prefix = delta_prefix = 0
+    for i in range(n):
+        b, d = beta[i], delta[i + 1]
+        beta_prefix += b
+        if b < threshold:
+            if not b < d:
+                return False
+        elif b > threshold:
+            if not b >= d >= beta_prefix - delta_prefix - s:
+                return False
+        elif not (b < d or (d == 0 and all(beta[j] == delta[j + 1]
+                                           for j in range(i + 1, n)))):
+            return False
+        delta_prefix += d
+        threshold = s + delta_prefix - beta_prefix
+    return True
+
+
+def test_z_membership_matches_the_prefix_sum_rule():
+    # every delta with delta_1 >= 1, entries >= 0 (zero rows included) and
+    # |delta| <= |beta| + 2, against every beta with |beta| <= 6
+    pairs = 0
+    for size in range(7):
+        for beta in compositions_of(size):
+            n = len(beta)
+            for total in range(1, size + 3):
+                for delta in product(range(1, total + 1), *[range(total)] * n):
+                    if sum(delta) != total:
+                        continue
+                    pairs += 1
+                    assert z_membership(delta, beta) is \
+                        prefix_sum_membership(delta, beta), (delta, beta)
+    assert pairs == 29276
+
+
+def test_threshold_and_steps_are_one_rule():
+    # one row of length b at threshold t: the comparison form reaches u
+    # exactly when the range form offers it
+    for b, t, u in product(range(1, 13), range(13), range(13)):
+        passes = pieri._threshold((t + 1, b + u - t), (b,)) == u
+        assert passes is (u in pieri._steps(b, t, 13)), (b, t, u)
+
+
+def test_left_pieri_walks_a_beta_longer_than_the_recursion_limit():
+    # the member walk keeps an explicit stack
+    beta = (1,) * (sys.getrecursionlimit() + 100)
+    assert len(left_pieri(1, beta)) == 2
 
 
 def test_unit_coefficient_longer_shape():

@@ -98,6 +98,17 @@ def test_saturation_holds_classically():
                         assert saturation_check_sym(mu, nu, lam, 2)
 
 
+@pytest.mark.parametrize("mu,nu,lam,message", [
+    ((1, 2), (1,), (5,), "not weakly decreasing"),
+    ((1,), (0,), (5,), "not a composition"),
+    ((1,), (1,), (1, 2), "not weakly decreasing"),
+], ids=["mu", "nu", "lam"])
+def test_lr_coefficient_algebra_checks_every_argument_first(mu, nu, lam, message):
+    # each triple fails the degree test too; the checks come before it
+    with pytest.raises(PreconditionError, match=message):
+        lr_coefficient_algebra(mu, nu, lam)
+
+
 def test_saturation_fails_for_immaculate():
     alpha, beta, gamma = (1, 1), (3, 2, 2), (3, 3, 1, 1, 1)
     assert not saturation_check_nsym(alpha, beta, gamma, 2)
