@@ -52,6 +52,7 @@ from .tableaux import (
     count_immaculate_LR,
     enumerate_T_alpha_beta,
     enumerate_skew_immaculate,
+    immaculate_LR_product,
     is_immaculate,
     is_semistandard,
     is_yamanouchi,

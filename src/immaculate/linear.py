@@ -29,16 +29,21 @@ class LinComb:
         check = check_partition if basis in _PARTITION_BASES else check_composition
         summed = {}
         items = terms.items() if isinstance(terms, dict) else terms or ()
-        for index, coeff in items:
-            index = check(index)
-            _check_coefficient(coeff)
-            summed[index] = summed.get(index, 0) + coeff
+        try:
+            for index, coeff in items:
+                index = check(index)
+                _check_coefficient(coeff)
+                summed[index] = summed.get(index, 0) + coeff
+        except PreconditionError:
+            raise
+        except (TypeError, ValueError) as e:  # not (index, coefficient) pairs
+            raise PreconditionError(f"terms must be (index, coefficient) pairs: {e}") from e
         self.basis = basis
         self.terms = {idx: c for idx, c in summed.items() if c}
 
     @classmethod
     def monomial(cls, basis, index):
-        return cls(basis, {tuple(index): 1})
+        return cls(basis, [(index, 1)])
 
     @classmethod
     def zero(cls, basis):
@@ -125,10 +130,12 @@ class LinComb:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(
-            data["basis"],
-            [(tuple(t["index"]), t["coefficient"]) for t in data["terms"]],
-        )
+        try:
+            basis = data["basis"]
+            terms = [(t["index"], t["coefficient"]) for t in data["terms"]]
+        except (KeyError, TypeError) as e:
+            raise PreconditionError(f"malformed LinComb JSON: {e!r}") from e
+        return cls(basis, terms)
 
 
 def _check_coefficient(c):

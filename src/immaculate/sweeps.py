@@ -38,7 +38,11 @@ from .schur import (
     saturation_check_sym,
     schur_to_h,
 )
-from .tableaux import count_immaculate_LR, enumerate_T_alpha_beta
+from .tableaux import (
+    count_immaculate_LR,
+    enumerate_T_alpha_beta,
+    immaculate_LR_product,
+)
 
 DEFAULT_MAX_DEGREE = 7
 
@@ -156,11 +160,18 @@ def sweep_translation(max_size):
 def sweep_lr_partition(max_size):
     """Every oracle coefficient with a partition right factor equals the
     immaculate Yamanouchi tableau count (hence is nonnegative), for
-    |alpha| + |lam| <= max_size."""
+    |alpha| + |lam| <= max_size.  The counts come from one shape-free
+    enumeration per pair (``immaculate_LR_product``); each gamma in either
+    expansion's support is compared, in the order of
+    ``compositions_of(|alpha| + |lam|)``, and every other gamma is zero in
+    both."""
     for alpha, lam in _pairs(max_size, partitions_of):
         expansion = product_in_S_oracle(alpha, lam)
+        counts = immaculate_LR_product(alpha, lam)
         for gamma in compositions_of(sum(alpha) + sum(lam)):
-            yield (expansion.coefficient(gamma), count_immaculate_LR(alpha, lam, gamma),
+            if gamma not in expansion.terms and gamma not in counts.terms:
+                continue
+            yield (expansion.coefficient(gamma), counts.coefficient(gamma),
                    "LR count mismatch at alpha={}, lam={}, gamma={}: "
                    "oracle {got} vs count {want}", (alpha, lam, gamma))
 

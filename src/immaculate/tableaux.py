@@ -235,6 +235,19 @@ def count_immaculate_LR(alpha, lam, gamma) -> int:
     return len(enumerate_skew_immaculate(alpha, lam, shape=gamma, yamanouchi=True))
 
 
+def immaculate_LR_product(alpha, lam) -> LinComb:
+    """S_alpha * S_lam for a partition lam: every count_immaculate_LR
+    coefficient at once, from one enumeration with no shape, each tableau
+    adding 1 at its outer shape.  For one coefficient count_immaculate_LR,
+    which prunes by the shape, is faster."""
+    lam = check_partition(lam)
+    out = {}
+    for t in enumerate_skew_immaculate(alpha, lam, yamanouchi=True):
+        gamma = t.shape_composition()
+        out[gamma] = out.get(gamma, 0) + 1
+    return _built("S", out)
+
+
 def sigma_of(t: SkewTableau, beta) -> Permutation | None:
     """The permutation c(T) - beta + Id, or None when it is not a permutation."""
     beta = check_composition(beta)

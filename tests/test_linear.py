@@ -39,6 +39,16 @@ def test_partition_bases_reject_compositions():
     lambda: LinComb.monomial("S", (1,)).scaled(0.5),
     lambda: LinComb.monomial("S", (1,)).scaled(True),
     lambda: True * LinComb.monomial("S", (1,)),
+    lambda: LinComb.monomial("S", 5),
+    lambda: LinComb("S", {5: 1}),
+    lambda: LinComb("S", 5),
+    lambda: LinComb("S", [(1,)]),
+    lambda: LinComb.from_json_dict({"basis": "S"}),
+    lambda: LinComb.from_json_dict({"basis": "S", "terms": [{"index": [1]}]}),
+    lambda: LinComb.from_json_dict({"basis": "S", "terms": [{"coefficient": 1}]}),
+    lambda: LinComb.from_json_dict({"basis": "S", "terms": [{"coefficient": 1,
+                                                               "index": 5}]}),
+    lambda: LinComb.from_json_dict([1]),
 ])
 def test_public_constructors_reject_bad_input(build):
     with pytest.raises(PreconditionError):

@@ -87,10 +87,18 @@ WITNESSES = [
         "short gamma=() for v=(1,)", id="translation-short"),
     pytest.param(
         "lr-partition", 3,
-        {"count_immaculate_LR": when(lambda alpha, lam, gamma: gamma == (1, 2),
-                                     lambda orig, *args: orig(*args) + 1)},
+        {"immaculate_LR_product": when(
+            lambda alpha, lam: lam == (3,),
+            lambda orig, *args: orig(*args) + LinComb.monomial("S", (1, 2)))},
         "LR count mismatch at alpha=(), lam=(3,), gamma=(1, 2): oracle 0 vs count 1",
         id="lr-partition"),
+    pytest.param(
+        "lr-partition", 3,
+        {"product_in_S_oracle": when(
+            lambda alpha, beta: (alpha, beta) == ((), (3,)),
+            lambda orig, *args: orig(*args) + LinComb.monomial("S", (2, 1)))},
+        "LR count mismatch at alpha=(), lam=(3,), gamma=(2, 1): oracle 1 vs count 0",
+        id="lr-partition-oracle"),
     pytest.param(
         "involution", 3,
         {"phi_on_image": one_way},

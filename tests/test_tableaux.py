@@ -3,7 +3,13 @@ from math import comb
 
 import pytest
 
-from immaculate.compositions import Permutation, compositions_of, scale
+from immaculate.compositions import (
+    Permutation,
+    add_prefix,
+    compositions_of,
+    partitions_of,
+    scale,
+)
 from immaculate.errors import (
     InvalidVectorError,
     PreconditionError,
@@ -17,6 +23,7 @@ from immaculate.tableaux import (
     count_immaculate_LR,
     enumerate_T_alpha_beta,
     enumerate_skew_immaculate,
+    immaculate_LR_product,
     is_immaculate,
     is_semistandard,
     is_yamanouchi,
@@ -243,6 +250,63 @@ def test_count_immaculate_LR_has_a_node_budget(monkeypatch):
     monkeypatch.setattr(LIMIT, 5)
     with pytest.raises(ResourceLimitError):
         count_immaculate_LR(alpha, lam, gamma)
+
+
+def partition_pairs(max_total):
+    """(alpha, lam) with |alpha| + |lam| <= max_total, lam a partition."""
+    for a in range(max_total + 1):
+        for b in range(max_total - a + 1):
+            for alpha in compositions_of(a):
+                for lam in partitions_of(b):
+                    yield alpha, lam
+
+
+def test_immaculate_LR_product_matches_oracle():
+    for alpha, lam in partition_pairs(7):
+        assert immaculate_LR_product(alpha, lam) == product_in_S_oracle(alpha, lam), (
+            alpha, lam)
+
+
+def test_immaculate_LR_product_coefficients_are_the_counts():
+    # the single-coefficient route, pruned by the shape, gives every
+    # coefficient of the shape-free product, zeros included
+    triples = 0
+    for alpha, lam in partition_pairs(6):
+        product = immaculate_LR_product(alpha, lam)
+        for gamma in compositions_of(sum(alpha) + sum(lam)):
+            assert product.coefficient(gamma) == count_immaculate_LR(alpha, lam, gamma)
+            triples += 1
+    assert triples == 4377
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (True, 1)])
+def test_immaculate_LR_product_needs_a_partition(lam):
+    with pytest.raises(PreconditionError):
+        immaculate_LR_product((1,), lam)
+
+
+def test_immaculate_LR_product_counts_partial_tableaux(monkeypatch):
+    # the shape-free enumeration of the saturation counterexample's pair
+    # visits 132 partial tableaux
+    alpha, lam = (1, 1), (3, 2, 2)
+    monkeypatch.setattr(LIMIT, 132)
+    assert immaculate_LR_product(alpha, lam) == product_in_S_oracle(alpha, lam)
+    monkeypatch.setattr(LIMIT, 131)
+    with pytest.raises(ResourceLimitError, match="132 partial tableaux"):
+        immaculate_LR_product(alpha, lam)
+
+
+def test_translation_invariance_at_degree_25():
+    # S_(3,3,3) S_(4^4) is S_(1,1,1) S_(4^4) with (2,2,2) added to every
+    # index: the paper's translation invariance, at a degree where the
+    # oracle and the signed tableau sum exceed the enumeration limit
+    lam = (4, 4, 4, 4)
+    base = immaculate_LR_product((1, 1, 1), lam)
+    shifted = immaculate_LR_product((3, 3, 3), lam)
+    assert len(base) == len(shifted) == 2605
+    assert shifted.terms == {add_prefix(g, (2, 2, 2)): c for g, c in base.terms.items()}
+    assert shifted.coefficient((7, 7, 7, 4)) == 1
+    assert count_immaculate_LR((3, 3, 3), lam, (7, 7, 7, 4)) == 1
 
 
 def test_stretched_counterexample_counts_pairs():
