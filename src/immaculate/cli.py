@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .compositions import is_partition
+from .compositions import check_enumeration, is_partition
 from .errors import PreconditionError, ResourceLimitError
 from .linear import LinComb, linear_sum
 from .nsym import (
@@ -203,6 +203,7 @@ def cmd_tableaux(args) -> int:
     if args.format == "json":
         print(json.dumps([tableau_json_dict(t, s) for t, s in selected]))
         return EXIT_OK
+    check_enumeration("inner markers to draw", len(selected) * sum(inner))
     for i, (t, sigma) in enumerate(selected):
         if i:
             print()
@@ -307,8 +308,10 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, RecursionError, MemoryError) as exc:
+        # the tableau enumerator recurses once per row and once per letter,
+        # so a deep enough shape runs out of stack rather than past the limit
+        print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,9 @@ from typing import Iterator
 from .errors import PreconditionError, ResourceLimitError
 
 # Work that visits more items than this is refused: counted before it starts
-# where the count is known, and as it goes in the triangular elimination.
+# where the count is known, and as it goes where it is not: the triangular
+# elimination, the partial tableaux, the signed product's right Pieri terms
+# and the levels of horizontal strips, each counted before it is built.
 ENUMERATION_LIMIT = 500_000
 
 
@@ -102,28 +104,27 @@ def is_right_pieri_successor(alpha, s: int, beta) -> bool:
 
 
 def horizontal_strip_successors(mu, n: int) -> set:
-    """All partitions obtained from ``mu`` by adding a horizontal n-strip."""
+    """All partitions obtained from ``mu`` by adding a horizontal n-strip.
+
+    The strip is placed one row of ``mu`` at a time, as a level of (prefix,
+    cells left); the cells still left after the last row make the new row.
+    New cells in row r lie in columns > mu_r and <= mu_{r-1}, so the rows
+    after row r, the new one included, take at most mu_r cells: row r ends
+    at column >= the cells left, and every partial strip completes.  So no
+    level is larger than the next, and each is counted from its row bounds
+    and checked before it is built.
+    """
     check_positive("n", n)
     mu = check_partition(mu)
-
-    out = set()
-
-    # new cells in row r lie in columns > mu_r and <= mu_{r-1}, so the rows
-    # after row r, the one new row included, take at most mu_r cells: row r
-    # ends at column >= remaining, and every partial strip completes
-    def extend(row, prefix, remaining):
-        if row > len(mu):
-            out.add(tuple(prefix) + ((remaining,) if remaining else ()))
-            return
-        base = mu[row - 1]
-        hi = remaining + base
-        if row > 1:
-            hi = min(hi, mu[row - 2])
-        for nu_r in range(max(base, remaining), hi + 1):
-            extend(row + 1, prefix + [nu_r], remaining - (nu_r - base))
-
-    extend(1, [], n)
-    return out
+    level = [((), n)]
+    for r, base in enumerate(mu):
+        most = mu[r - 1] - base if r else n     # the cells row r can take
+        spans = [range(max(base, left), base + min(left, most) + 1)
+                 for _, left in level]
+        check_enumeration("horizontal strips", sum(map(len, spans)))
+        level = [(prefix + (nu,), left - (nu - base))
+                 for (prefix, left), span in zip(level, spans) for nu in span]
+    return {prefix + ((left,) if left else ()) for prefix, left in level}
 
 
 def _extended(base: tuple, n: int, trim: bool = False) -> Iterator[tuple]:

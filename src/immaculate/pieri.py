@@ -5,10 +5,10 @@ The left rule works through one membership condition Z on candidate
 row-length vectors (one more than the filled first-row length, followed by a
 possibly-zero tail), a walk on a running threshold stated in
 ``z_membership`` and read in two forms, ``_threshold`` and ``_steps``, and a
-sign that counts negative entries of beta minus the tail.  The
-candidates with no zero part that pass the test are walked directly, one
-running threshold at a time, from per-row bounds; the shapes one part shorter,
-where the signs cancel, are scanned.
+sign that counts negative entries of beta minus the tail.  The candidates
+with no zero part that pass the test are built one row at a time from
+per-row bounds; the shapes one part shorter, where the signs cancel, are
+scanned.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def _reach(beta) -> list:
 
 
 def _z_member_count(beta, reach) -> int:
-    """How many candidates ``_z_members`` yields, by the same steps counted
+    """How many candidates ``_z_members`` returns, by the same steps counted
     backwards: ways[t] is the number of walks that end from threshold t."""
     ways = [1]
     for i in range(len(beta) - 1, -1, -1):
@@ -185,32 +185,17 @@ def _z_member_count(beta, reach) -> int:
     return sum(ways)
 
 
-def _z_members(beta, reach):
+def _z_members(beta, reach) -> list:
     """Exactly the (n+1)-part compositions delta of |beta| + 1 that pass Z,
-    in lexicographic order, with no scan.
-
-    With positive parts Z is the threshold walk of ``z_membership``,
-    starting at t = delta_1 - 1, and d_i = beta_i + u - t at each step t to
-    u that ``_steps`` allows; the sum |beta| + 1 is a walk that ends at
-    t = 0.  Every threshold kept below ``reach`` finishes at least one walk,
-    so no branch is dead.
-    """
-    n = len(beta)
-    delta = [0] * (n + 1)
-    thresholds = [0] * (n + 1)
-    choices = [iter(range(reach[0]))]     # choices[i]: the values left for t_i
-    while choices:
-        i = len(choices) - 1
-        t = next(choices[i], None)
-        if t is None:
-            choices.pop()
-            continue
-        thresholds[i] = t
-        delta[i] = t + 1 if i == 0 else beta[i - 1] + t - thresholds[i - 1]
-        if i == n:
-            yield tuple(delta)
-        else:
-            choices.append(iter(_steps(beta[i], t, reach[i + 1])))
+    in lexicographic order, with no scan: one level of (prefix, threshold t)
+    per row of beta, each step t to u that ``_steps`` allows adding the part
+    d_i = beta_i + u - t.  Walks end at t = 0, the sum |beta| + 1; each
+    threshold kept below ``reach`` finishes one, so no level outgrows the result."""
+    level = [((t + 1,), t) for t in range(reach[0])]
+    for b, cap in zip(beta, reach[1:]):
+        level = [(delta + (b + u - t,), u)
+                 for delta, t in level for u in _steps(b, t, cap)]
+    return [delta for delta, _ in level]
 
 
 def left_pieri(s: int, beta) -> LinComb:
@@ -221,7 +206,7 @@ def left_pieri(s: int, beta) -> LinComb:
     the compositions gamma' of |beta| + 1 of those lengths, and the
     coefficient of S_gamma is the closed-form value at gamma'.  The
     (n+1)-part gamma' with a nonzero value are exactly the members that
-    ``_z_members`` walks; the n-part ones are scanned.  The candidates are
+    ``_z_members`` builds; the n-part ones are scanned.  The candidates are
     counted before any is tested: the members, by the walk's recurrence,
     plus the C(|beta|, n - 1) compositions scanned.
     """

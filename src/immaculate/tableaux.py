@@ -161,8 +161,11 @@ def enumerate_skew_immaculate(
       the smallest remaining letter.
 
     Each k_j is picked, in lexicographic order, from the range these bounds
-    leave, ``tail`` keeping the row total reachable.  Every partial tableau
-    visited counts against ENUMERATION_LIMIT as the enumeration goes.
+    leave, ``tail`` keeping the row total reachable.  Each row is built
+    whole, so a row longer than ENUMERATION_LIMIT (up to the content's total,
+    or the longest row of ``shape`` past ``inner``) is refused before any is
+    built; every partial tableau visited counts against the limit as the
+    enumeration goes.
     """
     inner = check_composition(inner)
     content_vec = tuple(content_vec)
@@ -176,6 +179,10 @@ def enumerate_skew_immaculate(
             map(lt, shape, inner)
         ):
             return []
+        longest = max(map(sub, shape, inner + (0,) * len(shape)), default=0)
+    else:
+        longest = total
+    check_enumeration("cells in one row", longest)
 
     results = []
     visited = 0

@@ -299,6 +299,33 @@ def test_oversized_enumerations_refused_at_once(argv, counted, seconds):
     assert counted in proc.stderr
 
 
+ONES = ",".join(["1"] * 1500)
+
+
+@pytest.mark.parametrize("argv", [
+    # a row built whole: up to the content's total, or a row of the shape
+    ["tableaux", "--content", "9999999999"],
+    ["tableaux", "--content", "600000"],
+    ["tableaux", "--inner", "2,1", "--beta", "9999999999"],
+    ["coeff", "-a", "1", "-b", "9999999999", "-g", "10000000000",
+     "--method", "tableau"],
+    # two tableaux of 9,999,999,999 inner markers each
+    ["tableaux", "--inner", "9999999999", "--content", "1"],
+    # the enumerator recurses once per row and once per letter
+    ["tableaux", "--content", ONES],
+    ["tableaux", "--inner", ONES, "--content", "1"],
+    ["coeff", "-a", ONES, "-b", "1", "-g", "2," + ",".join(["1"] * 1499),
+     "--method", "tableau"],
+], ids=["content-cells", "content-600000", "beta-cells", "coeff-cells",
+        "inner-markers", "deep-content", "deep-inner", "deep-coeff"])
+def test_oversized_tableaux_exit_3(capsys, argv):
+    # each ended in a MemoryError or RecursionError traceback and exit 1
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: ")
+    assert "Traceback" not in err
+
+
 def test_main_builds_no_parser_per_call(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

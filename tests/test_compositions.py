@@ -118,9 +118,18 @@ def test_is_right_pieri_successor(alpha, s, beta, expected):
     ((), 4, {(4,)}),
     ((2, 1), 2, {(4, 1), (3, 2), (3, 1, 1), (2, 2, 1)}),
     ((1,), 10**6, {(10**6 + 1,), (10**6, 1)}),
+    # one level per row: a 3,000-row mu is no recursion depth
+    ((1,) * 3000, 5, {(6,) + (1,) * 2999, (5,) + (1,) * 3000}),
 ])
 def test_horizontal_strip_successors(mu, n, expected):
     assert horizontal_strip_successors(mu, n) == expected
+
+
+def test_horizontal_strips_refused_before_they_are_built():
+    # the first row alone takes 0..3,000,000 new cells
+    with pytest.raises(ResourceLimitError,
+                       match="3000001 horizontal strips \\(limit 500000\\)"):
+        horizontal_strip_successors((3_000_000,), 3_000_000)
 
 
 def test_horizontal_strip_brute_force():
