@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, wraps
 from math import comb, prod
 from operator import add
 from typing import Iterator
@@ -45,6 +44,25 @@ def check_positive(what: str, value):
     float is not one."""
     if type(value) is not int or value < 1:
         raise PreconditionError(f"{what} must be >= 1, got {value}")
+
+
+def cached_behind(check):
+    """Decorator: cache a function's answers behind ``check``, which takes
+    the function's arguments and returns them checked, as a tuple.  So an
+    argument equal to a cached one (True == 1, 2.0 == 2) is still refused,
+    and a list is answered like its tuple.  The cache is read and emptied
+    through the function's name, and ``__wrapped__`` is the uncached function."""
+    def decorate(kernel):
+        cached = lru_cache(maxsize=None)(kernel)
+
+        @wraps(kernel)
+        def checked(*args, **kwargs):
+            return cached(*check(*args, **kwargs))
+
+        checked.cache_info = cached.cache_info
+        checked.cache_clear = cached.cache_clear
+        return checked
+    return decorate
 
 
 def is_partition(alpha) -> bool:
@@ -88,7 +106,7 @@ def right_pieri_successors(alpha, s: int) -> list:
     alpha = check_composition(alpha)
     check_positive("s", s)
     check_enumeration("right Pieri terms", comb(s + len(alpha), len(alpha)))
-    return list(_extended(alpha + (0,), s, trim=True))
+    return _extended(alpha + (0,), s, trim=True)
 
 
 def is_right_pieri_successor(alpha, s: int, beta) -> bool:
@@ -127,54 +145,46 @@ def horizontal_strip_successors(mu, n: int) -> set:
     return {prefix + ((left,) if left else ()) for prefix, left in level}
 
 
-def _extended(base: tuple, n: int, trim: bool = False) -> Iterator[tuple]:
+def _extended(base: tuple, n: int, trim: bool = False) -> list:
     """``base + w`` entrywise, for every weak composition ``w`` of ``n`` with
     len(base) parts, in lexicographic order of ``w``; ``base`` has no negative
     part, and with ``trim`` a last part 0 is dropped.
 
     Prefixes are built one part at a time, depth first, each with the cells
-    it has left.  The last two parts come from one list of tails per count of
-    cells left, shared by every prefix with that count, so each output tuple
-    costs one concatenation, made in ``map``.
+    it has left; a prefix with none left takes the rest of ``base`` at once.
+    The last two parts come from one list of tails per count of cells left,
+    shared by every prefix with that count, so each output tuple costs one
+    concatenation.
     """
     trim = trim and bool(base) and not base[-1]
     rest = base[:-1] if trim else base
     if n <= 0:
-        return iter([rest] if n == 0 else [])
+        return [rest] if n == 0 else []
     if len(base) < 2:
-        return iter([(base[0] + n,)] if base else [])
+        return [(base[0] + n,)] if base else []
     *head, x, y = base
-
-    def pairs(r):
-        if trim:
-            return [*zip(range(x, x + r), range(y + r, y, -1)), (x + r,)]
-        return list(zip(range(x, x + r + 1), range(y + r, y - 1, -1)))
-
+    end = () if trim else (y,)
+    tails = [[*zip(range(x, x + r), range(y + r, y, -1)), (x + r, *end)]
+             for r in (range(n + 1) if head else (n,))]
     if not head:
-        return iter(pairs(n))
-    # with one head part every count of cells left comes once: nothing to
-    # share, so each prefix's tails are built when needed and not kept
-    tails = pairs if len(head) == 1 else list(map(pairs, range(n + 1))).__getitem__
+        return tails[0]
+    out = []
     last = len(head) - 1
-
-    def batches():
-        pending = [((), n, 0)]
-        while pending:
-            prefix, left, k = pending.pop()
-            if not left:
-                # no cells left: the one completion is the rest of ``base``
-                yield (prefix + rest[k:],)
-                continue
-            b = head[k]
-            if k < last:
-                # pushed largest first, so the smallest part is taken next
-                pending += [(prefix + (b + a,), left - a, k + 1)
-                            for a in range(left, -1, -1)]
-            else:
-                for a in range(left + 1):
-                    yield map((prefix + (b + a,)).__add__, tails(left - a))
-
-    return chain.from_iterable(batches())
+    pending = [((), n, 0)]
+    while pending:
+        prefix, left, k = pending.pop()
+        if not left:
+            out.append(prefix + rest[k:])
+            continue
+        b = head[k]
+        if k < last:
+            # pushed largest first, so the smallest part is taken next
+            pending += [(prefix + (b + a,), left - a, k + 1)
+                        for a in range(left, -1, -1)]
+        else:
+            for a in range(left + 1):
+                out += map((prefix + (b + a,)).__add__, tails[left - a])
+    return out
 
 
 def weak_compositions(n: int, length: int) -> Iterator[tuple]:
@@ -285,6 +295,18 @@ def permutation_floors(alpha) -> tuple:
     return tuple(max(1, i - a) for i, a in enumerate(alpha, 1))
 
 
+def _permutation_arguments(m, floors=()) -> tuple:
+    """The arguments of ``permutations``, checked."""
+    if type(m) is not int or m < 0:
+        raise PreconditionError(f"m must be an int >= 0, got {m!r}")
+    if type(floors) is not tuple or not all(type(f) is int for f in floors):
+        raise PreconditionError(f"floors must be a tuple of ints, got {floors!r}")
+    if len(floors) > m:
+        raise PreconditionError(f"{len(floors)} floors for S_{m}")
+    return m, floors
+
+
+@cached_behind(_permutation_arguments)
 def permutations(m: int, floors: tuple = ()) -> tuple:
     """The permutations sigma of {1..m} with sigma_i >= floors[i-1], in
     lexicographic order, each with its sign stored; positions past the end
@@ -304,18 +326,6 @@ def permutations(m: int, floors: tuple = ()) -> tuple:
     are filled.  The filling order is a stable sort by decreasing floor, so
     its inversions are the pairs of positions i < k with floor_i < floor_k.
     """
-    if type(m) is not int or m < 0:
-        raise PreconditionError(f"m must be an int >= 0, got {m!r}")
-    if type(floors) is not tuple or not all(type(f) is int for f in floors):
-        raise PreconditionError(f"floors must be a tuple of ints, got {floors!r}")
-    if len(floors) > m:
-        raise PreconditionError(f"{len(floors)} floors for S_{m}")
-    return _floored_permutations(m, floors)
-
-
-@lru_cache(maxsize=None)
-def _floored_permutations(m: int, floors: tuple) -> tuple:
-    """``permutations`` for checked arguments."""
     floors = floors + (1,) * (m - len(floors))
     order = sorted(range(m), key=lambda i: -floors[i])
     survivors = prod(max(0, m + 1 - max(floors[i], 1) - t)
@@ -344,14 +354,6 @@ def _floored_permutations(m: int, floors: tuple) -> tuple:
     fill(0, tuple(range(1, m + 1)), -1 if inversions & 1 else 1)
     found.sort()
     return tuple(_permutation(images, sign) for images, sign in found)
-
-
-# The cache sits behind the checks, so an argument equal to a cached one
-# (True == 1, 2.0 == 2) is still refused; it is read and emptied through
-# the public name.
-permutations.cache_info = _floored_permutations.cache_info
-permutations.cache_clear = _floored_permutations.cache_clear
-permutations.__wrapped__ = _floored_permutations.__wrapped__
 
 
 def shifted_entries(alpha) -> Iterator[tuple]:

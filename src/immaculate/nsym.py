@@ -14,6 +14,7 @@ from functools import lru_cache
 from operator import add
 
 from .compositions import (
+    cached_behind,
     check_composition,
     check_enumeration,
     permutation_floors,
@@ -95,11 +96,9 @@ def immaculate_comb_to_H(f: LinComb) -> LinComb:
     return linear_sum("H", ((c, immaculate_to_H(a)) for a, c in f.terms.items()))
 
 
-@lru_cache(maxsize=None)
+@cached_behind(lambda alpha, beta: (check_composition(alpha), check_composition(beta)))
 def product_in_S_oracle(alpha, beta) -> LinComb:
     """Ground-truth product S_alpha * S_beta, expanded back into the S basis."""
-    alpha = check_composition(alpha)
-    beta = check_composition(beta)
     prod = h_multiply(immaculate_to_H(alpha), immaculate_to_H(beta))
     return H_to_immaculate(prod)
 

@@ -7,13 +7,13 @@ possibly-zero tail), a walk on a running threshold stated in
 ``z_membership`` and read in two forms, ``_threshold`` and ``_steps``, and a
 sign that counts negative entries of beta minus the tail.  The candidates
 with no zero part that pass the test are built one row at a time from
-per-row bounds; the shapes one part shorter, where the signs cancel, are
-scanned.
+per-row bounds, with their signs; the shapes one part shorter, where the
+signs cancel, are scanned.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import comb
 
 from . import compositions
@@ -187,15 +187,15 @@ def _z_member_count(beta, reach) -> int:
 
 def _z_members(beta, reach) -> list:
     """Exactly the (n+1)-part compositions delta of |beta| + 1 that pass Z,
-    in lexicographic order, with no scan: one level of (prefix, threshold t)
-    per row of beta, each step t to u that ``_steps`` allows adding the part
-    d_i = beta_i + u - t.  Walks end at t = 0, the sum |beta| + 1; each
-    threshold kept below ``reach`` finishes one, so no level outgrows the result."""
-    level = [((t + 1,), t) for t in range(reach[0])]
+    in lexicographic order, with signs: one level of (prefix, threshold t,
+    sign) per row of beta; a step t to u that ``_steps`` allows adds the part
+    d_i = beta_i + u - t, and flips the sign when u > t (beta_i - d_i < 0).
+    Each threshold below ``reach`` ends a walk at 0: no level outgrows the result."""
+    level = [((t + 1,), t, 1) for t in range(reach[0])]
     for b, cap in zip(beta, reach[1:]):
-        level = [(delta + (b + u - t,), u)
-                 for delta, t in level for u in _steps(b, t, cap)]
-    return [delta for delta, _ in level]
+        level = [(delta + (b + u - t,), u, sign if b > t else -sign)
+                 for delta, t, sign in level for u in _steps(b, t, cap)]
+    return [(delta, sign) for delta, _, sign in level]
 
 
 def left_pieri(s: int, beta) -> LinComb:
@@ -206,9 +206,9 @@ def left_pieri(s: int, beta) -> LinComb:
     the compositions gamma' of |beta| + 1 of those lengths, and the
     coefficient of S_gamma is the closed-form value at gamma'.  The
     (n+1)-part gamma' with a nonzero value are exactly the members that
-    ``_z_members`` builds; the n-part ones are scanned.  The candidates are
-    counted before any is tested: the members, by the walk's recurrence,
-    plus the C(|beta|, n - 1) compositions scanned.
+    ``_z_members`` builds, with their values; the n-part ones are scanned.
+    The candidates are counted before any is built: the members, by the
+    walk's recurrence, plus the C(|beta|, n - 1) compositions scanned.
     """
     check_positive("s", s)
     beta = check_composition(beta)
@@ -222,8 +222,8 @@ def left_pieri(s: int, beta) -> LinComb:
         check_enumeration("or more left Pieri candidates", reach[0] + scanned)
     check_enumeration("left Pieri candidates",
                       _z_member_count(beta, reach) + scanned)
-    out = {}
-    for reduced in chain(_z_members(beta, reach), compositions_of(size, length=n)):
+    out = {(d[0] + s - 1,) + d[1:]: sign for d, sign in _z_members(beta, reach)}
+    for reduced in compositions_of(size, length=n):
         c = left_pieri_unit_coefficient(beta, reduced)
         if c:
             out[(reduced[0] + s - 1,) + reduced[1:]] = c

@@ -5,10 +5,10 @@ Littlewood-Richardson routes, the symmetric Pieri rule, and saturation checks.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import add
 
 from .compositions import (
+    cached_behind,
     check_partition,
     check_positive,
     horizontal_strip_successors,
@@ -24,7 +24,7 @@ from .nsym import _require, structure_constant, sym_multiply
 from .tableaux import count_immaculate_LR, enumerate_skew_immaculate
 
 
-@lru_cache(maxsize=None)
+@cached_behind(lambda lam: (check_partition(lam),))
 def schur_to_h(lam) -> LinComb:
     """Expand s_lam in the h basis by the signed sum over permutations.
 
@@ -33,7 +33,6 @@ def schur_to_h(lam) -> LinComb:
     ``permutation_floors(lam)`` are visited), sorted into a partition; equal
     indices are merged.
     """
-    lam = check_partition(lam)
     base = tuple(a - i for i, a in enumerate(lam, 1))
     out = {}
     for sigma in permutations(len(lam), permutation_floors(lam)):
@@ -49,11 +48,9 @@ def h_to_schur(f: LinComb) -> LinComb:
     return triangular_inverse(f, schur_to_h, "s")
 
 
-@lru_cache(maxsize=None)
+@cached_behind(lambda mu, nu: (check_partition(mu), check_partition(nu)))
 def schur_product_in_s(mu, nu) -> LinComb:
     """s_mu * s_nu expanded in the Schur basis, through the h basis."""
-    mu = check_partition(mu)
-    nu = check_partition(nu)
     return h_to_schur(sym_multiply(schur_to_h(mu), schur_to_h(nu)))
 
 

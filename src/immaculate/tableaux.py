@@ -12,15 +12,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
+from math import comb
 from operator import lt, sub
 
 from .compositions import (
     Permutation,
+    _extended,
     _permutation,
     check_composition,
     check_enumeration,
     check_partition,
-    right_pieri_successors,
     shifted_entries,
 )
 from .errors import InvalidVectorError, PreconditionError
@@ -289,24 +290,22 @@ def enumerate_T_alpha_beta(
 def signed_product(alpha, beta) -> LinComb:
     """S_alpha * S_beta via the signed sum over permutations of iterated
     right Pieri steps whose sizes are the shifted entries of beta
-    (``shifted_entries``); zero steps are skipped.  The right Pieri terms
-    visited so far, over all permutations, are counted against
-    ENUMERATION_LIMIT."""
+    (``shifted_entries``); zero steps are skipped.  The C(s + l, l) right
+    Pieri terms of a step of s cells from a term of length l are counted,
+    with those visited before over all permutations, against
+    ENUMERATION_LIMIT before they are built."""
     alpha = check_composition(alpha)
     beta = check_composition(beta)
     out = {}
     visited = 0
     for sigma, steps in shifted_entries(beta):
         frontier = {alpha: 1}
-        for s in steps:
-            if s == 0:
-                continue
+        for s in filter(None, steps):
             nxt = {}
             for gamma, mult in frontier.items():
-                successors = right_pieri_successors(gamma, s)
-                visited += len(successors)
+                visited += comb(s + len(gamma), len(gamma))
                 check_enumeration("right Pieri terms in the signed product", visited)
-                for succ in successors:
+                for succ in _extended(gamma + (0,), s, trim=True):
                     nxt[succ] = nxt.get(succ, 0) + mult
             frontier = nxt
         for gamma, mult in frontier.items():

@@ -49,12 +49,12 @@ def test_right_pieri_checks_its_argument_once(monkeypatch):
 def test_left_pieri_checks_each_candidate_twice(monkeypatch):
     # The one known exception to the rule above: one check of beta, then
     # the unit coefficient's checks of beta and of the candidate, for each
-    # candidate: the 15 five-part members the walk yields and the C(13, 3)
-    # compositions of |beta| + 1 = 14 into 4 parts; the walk and the
-    # membership test on a candidate check nothing again.
+    # of the C(13, 3) compositions of |beta| + 1 = 14 into 4 parts that are
+    # scanned.  The five-part members come with their signs from the walk,
+    # which checks nothing, and are not re-checked.
     calls = count_checks(monkeypatch)
     left_pieri(1, (3, 4, 3, 3))
-    assert sum(calls.values()) == 1 + 2 * (15 + comb(13, 3)) == 603
+    assert sum(calls.values()) == 1 + 2 * comb(13, 3) == 573
 
 
 def test_enumeration_checks_its_arguments_once(monkeypatch):

@@ -144,6 +144,25 @@ def test_oracle_unit():
     )
 
 
+@pytest.mark.parametrize("alpha, beta", [((True,), (2,)), ((1,), (2.0,)), ((0,), (2,))])
+def test_oracle_checks_in_front_of_its_cache(alpha, beta):
+    # refused cold, and still refused once an equal argument is cached
+    # (True == 1, 2.0 == 2)
+    product_in_S_oracle.cache_clear()
+    with pytest.raises(PreconditionError):
+        product_in_S_oracle(alpha, beta)
+    product_in_S_oracle((1,), (2,))
+    with pytest.raises(PreconditionError):
+        product_in_S_oracle(alpha, beta)
+
+
+def test_oracle_answers_a_list_like_its_tuple():
+    product_in_S_oracle.cache_clear()
+    assert product_in_S_oracle([1], [2]) == product_in_S_oracle((1,), (2,))
+    assert product_in_S_oracle([1], [2]) == product_in_S_oracle((1,), (2,))
+    assert product_in_S_oracle.cache_info().misses == 1
+
+
 def test_structure_constants():
     assert structure_constant((1, 1), (3, 2, 2), (3, 3, 1, 1, 1)) == 0
     assert structure_constant((2, 2), (6, 4, 4), (6, 6, 2, 2, 2)) == 1

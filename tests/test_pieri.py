@@ -138,7 +138,7 @@ def test_threshold_and_steps_are_one_rule():
 
 
 def test_left_pieri_walks_a_beta_longer_than_the_recursion_limit():
-    # the member walk keeps an explicit stack
+    # the member walk builds one level per row, with no recursion
     beta = (1,) * (sys.getrecursionlimit() + 100)
     assert len(left_pieri(1, beta)) == 2
 
@@ -273,10 +273,12 @@ def test_walk_yields_exactly_the_members():
             want = [delta for delta in compositions_of(size + 1, n + 1)
                     if z_membership(delta, beta)]
             reach = pieri._reach(beta)
-            got = list(pieri._z_members(beta, reach))
-            assert got == want, beta
+            got = pieri._z_members(beta, reach)
+            assert [delta for delta, _ in got] == want, beta
             assert len(set(got)) == len(got)
             assert pieri._z_member_count(beta, reach) == len(got), beta
+            for delta, sign in got:
+                assert sign == left_pieri_unit_coefficient(beta, delta), (beta, delta)
 
 
 def test_left_pieri_refuses_a_huge_part_at_once():

@@ -34,6 +34,31 @@ def test_schur_to_h_rejects_composition():
         schur_to_h((1, 2))
 
 
+@pytest.mark.parametrize("call, bad, good", [
+    (schur_to_h, ((2.0, 1),), ((2, 1),)),
+    (schur_to_h, ((True,),), ((1,),)),
+    (schur_product_in_s, ((True,), (1,)), ((1,), (1,))),
+    (schur_product_in_s, ((1,), (1, 2)), ((1,), (1,))),
+])
+def test_checks_in_front_of_the_caches(call, bad, good):
+    # refused cold, and still refused once an equal argument is cached
+    # (True == 1, 2.0 == 2)
+    call.cache_clear()
+    with pytest.raises(PreconditionError):
+        call(*bad)
+    call(*good)
+    with pytest.raises(PreconditionError):
+        call(*bad)
+
+
+def test_cached_expansions_answer_a_list_like_its_tuple():
+    for call, args in ((schur_to_h, ((2, 1),)), (schur_product_in_s, ((2, 1), (1,)))):
+        call.cache_clear()
+        assert call(*map(list, args)) == call(*args)
+        assert call(*map(list, args)) == call(*args)
+        assert call.cache_info().misses == 1
+
+
 def test_h_to_schur_round_trip():
     for n in range(8):
         for lam in partitions_of(n):

@@ -222,6 +222,14 @@ def test_signed_product_counts_right_pieri_terms(monkeypatch):
         signed_product(alpha, beta)
 
 
+def test_signed_product_refuses_a_large_step_at_once():
+    # one right Pieri step of 60 cells from a five-part term has C(65, 5)
+    # terms, counted before any is built
+    with pytest.raises(ResourceLimitError,
+                       match="8259888 right Pieri terms in the signed product"):
+        signed_product((1,) * 5, (60,))
+
+
 def test_both_routes_match_oracle():
     for a in range(4):
         for b in range(4):
@@ -287,10 +295,12 @@ def test_immaculate_LR_product_needs_a_partition(lam):
 
 def test_immaculate_LR_product_counts_partial_tableaux(monkeypatch):
     # the shape-free enumeration of the saturation counterexample's pair
-    # visits 132 partial tableaux
+    # visits 132 partial tableaux; the oracle's own elimination visits 201
+    # terms, so it runs first
     alpha, lam = (1, 1), (3, 2, 2)
+    want = product_in_S_oracle(alpha, lam)
     monkeypatch.setattr(LIMIT, 132)
-    assert immaculate_LR_product(alpha, lam) == product_in_S_oracle(alpha, lam)
+    assert immaculate_LR_product(alpha, lam) == want
     monkeypatch.setattr(LIMIT, 131)
     with pytest.raises(ResourceLimitError, match="132 partial tableaux"):
         immaculate_LR_product(alpha, lam)
