@@ -309,8 +309,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
-        # the tableau enumerator recurses once per row and once per letter,
-        # so a deep enough shape runs out of stack rather than past the limit
+        # running out of stack or memory is a resource limit too, not a crash
         print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RESOURCE
     except PreconditionError as exc:

@@ -9,6 +9,7 @@ from operator import add
 
 from .compositions import (
     cached_behind,
+    check_composition,
     check_partition,
     check_positive,
     horizontal_strip_successors,
@@ -82,11 +83,11 @@ def pieri_sym(mu, n: int) -> LinComb:
 
 def _saturation_check(coefficient, a, b, c, N: int) -> bool:
     """True iff ``coefficient(a, b, c)`` is nonzero exactly when its value at
-    the N-scaled triple is."""
+    the N-scaled triple is; the caller has checked ``a``, ``b`` and ``c``."""
     check_positive("N", N)
     if sum(c) != sum(a) + sum(b):
         raise PreconditionError(f"sizes incompatible: {sum(c)} != {sum(a)} + {sum(b)}")
-    base = coefficient(tuple(a), tuple(b), tuple(c))
+    base = coefficient(a, b, c)
     scaled = coefficient(scale(a, N), scale(b, N), scale(c, N))
     return (base != 0) == (scaled != 0)
 
@@ -94,6 +95,7 @@ def _saturation_check(coefficient, a, b, c, N: int) -> bool:
 def saturation_check_sym(mu, nu, lam, N: int) -> bool:
     """True iff nonvanishing of the Schur structure constant is equivalent to
     nonvanishing at the N-scaled triple."""
+    mu, nu, lam = map(check_partition, (mu, nu, lam))
     return _saturation_check(lr_coefficient_algebra, mu, nu, lam, N)
 
 
@@ -106,4 +108,5 @@ def _nsym_coefficient(alpha, beta, gamma) -> int:
 def saturation_check_nsym(alpha, beta, gamma, N: int) -> bool:
     """The analogous check for immaculate structure constants; false on the
     known counterexample."""
+    alpha, beta, gamma = map(check_composition, (alpha, beta, gamma))
     return _saturation_check(_nsym_coefficient, alpha, beta, gamma, N)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from math import comb
-from operator import lt, sub
+from operator import add, lt, sub
 
 from .compositions import (
     Permutation,
@@ -157,16 +157,17 @@ def enumerate_skew_immaculate(
     - k_1 + .. + k_j <= ``most[j]``: with ``semistandard``, the position of
       the row's first cell under a letter >= j;
     - ``low`` <= sum(k) <= ``high``: the row's size, when ``shape`` fixes it;
-    - k_j >= ``need[j]``: a row below the inner shape starts column 1, and
+    - k_j >= ``need``: a row below the inner shape starts column 1, and
       each later row starts with a larger letter, so it takes every copy of
       the smallest remaining letter.
 
     Each k_j is picked, in lexicographic order, from the range these bounds
-    leave, ``tail`` keeping the row total reachable.  Each row is built
-    whole, so a row longer than ENUMERATION_LIMIT (up to the content's total,
-    or the longest row of ``shape`` past ``inner``) is refused before any is
-    built; every partial tableau visited counts against the limit as the
-    enumeration goes.
+    leave, ``tail`` keeping the row total reachable.  A partial row is held
+    as its length and runs of letters until its partial tableau is visited.
+    The limit counts the partial tableaux stacked, and before they are built
+    the partial rows of the next letter: each will be visited.  A row is
+    built whole, so one longer than the limit (up to the content's total, or
+    the longest row of ``shape`` past ``inner``) is refused at once.
     """
     inner = check_composition(inner)
     content_vec = tuple(content_vec)
@@ -186,53 +187,58 @@ def enumerate_skew_immaculate(
     check_enumeration("cells in one row", longest)
 
     results = []
-    visited = 0
     # pad[r]: inner cells of row r; each row below the inner shape uses up a letter
     pad = (0,) + inner + (0,) * (m + 1)
     # past row ``last`` with no content left a tableau is done; with ``shape``
     # the fixed row sizes leave none
     last = len(inner) if shape is None else len(shape)
-
-    def extend(r, remaining, rows):
-        nonlocal visited
-        visited += 1
-        check_enumeration("partial tableaux", visited)
+    # stacked: a row index, the content and rows above that row, and the row's
+    # runs, last letter first, as (letter, copies, rest) or None; root: row 0
+    stack = [(1, content_vec, (), None)]
+    stacked = 1  # partial tableaux stacked so far: each will be visited
+    while stack:
+        r, remaining, rows, run = stack.pop()
+        row, remaining = (), list(remaining)
+        while run:
+            letter, k, run = run
+            row = (letter,) * k + row
+            remaining[letter - 1] -= k
+        rows, remaining = rows + (row,), tuple(remaining)
         if r > last and not any(remaining):
-            results.append(_tableau(inner, tuple(rows)))
-            return
+            results.append(_tableau(inner, rows[1:]))
+            continue
         caps = remaining
         if yamanouchi:
             used = tuple(map(sub, content_vec, remaining))
             caps = tuple(map(min, caps, (total, *map(sub, used, used[1:]))))
+        tail = list(accumulate(caps[::-1], initial=0))[::-1]
+        low, high = (0, total) if shape is None else (shape[r - 1] - pad[r],) * 2
+        start = next(compress(count(), remaining), m)  # first letter left
+        need = remaining[start] if r > len(inner) else 0
         most = (total,) * m
         if semistandard and r > 1:
             above, off = rows[-1], pad[r] - pad[r - 1]
-            firsts = (max(off, bisect_left(above, v)) for v in range(1, m + 1))
+            firsts = [max(off, bisect_left(above, v)) for v in range(1, m + 1)]
             most = [q - off if q < len(above) else total for q in firsts]
-        low, high = (0, total) if shape is None else (shape[r - 1] - pad[r],) * 2
-        need = [0] * m
-        start = 0
-        if r > len(inner):
-            start = next(j for j, c in enumerate(remaining) if c)
-            need[start] = remaining[start]
-        tail = list(accumulate(caps[::-1], initial=0))[::-1]
-
-        def choices(j, placed, row, left):
-            if j == m:
-                yield row, left
-                return
-            for k in range(
-                max(need[j], low - placed - tail[j + 1]),
-                min(caps[j], most[j] - placed, high - placed) + 1,
-            ):
-                yield from choices(
-                    j + 1, placed + k, row + (j + 1,) * k, left + (remaining[j] - k,)
-                )
-
-        for row, left in choices(start, 0, (), remaining[:start]):
-            extend(r + 1, left, rows + [row])
-
-    extend(1, content_vec, [])
+            # past its first letter a partial row can fail no bound but this
+            # one, which does not depend on the row (``most`` only grows)
+            if low > min(map(add, most[start:], tail[start + 1:]), default=low):
+                continue
+        level = [(0, None)]  # partial rows: (length, runs)
+        for j in range(start, m):
+            cap, top, floor = caps[j], min(most[j], high), max(need, low - tail[j + 1])
+            if not cap and floor <= 0:
+                continue  # each partial row takes no j + 1 and stays as it is
+            spans = [range(max(0, floor - p), min(cap, top - p) + 1) for p, _ in level]
+            need = 0
+            check_enumeration("partial tableaux", stacked + sum(map(len, spans)))
+            level = [(p + k, (j + 1, k, run) if k else run)
+                     for (p, run), span in zip(level, spans) for k in span]
+            if not level:
+                break  # the node has no child
+        stacked += len(level)
+        check_enumeration("partial tableaux", stacked)
+        stack += [(r + 1, remaining, rows, run) for _, run in reversed(level)]
     return results
 
 

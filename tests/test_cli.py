@@ -15,6 +15,7 @@ from immaculate.compositions import compositions_of
 from immaculate.errors import PreconditionError
 from immaculate.linear import LinComb, linear_sum
 from immaculate.nsym import H_to_immaculate, product_in_S_oracle
+from immaculate.pieri import right_pieri
 from immaculate.tableaux import SkewTableau, is_semistandard, is_yamanouchi
 
 
@@ -302,28 +303,36 @@ def test_oversized_enumerations_refused_at_once(argv, counted, seconds):
 ONES = ",".join(["1"] * 1500)
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, counted", [
     # a row built whole: up to the content's total, or a row of the shape
-    ["tableaux", "--content", "9999999999"],
-    ["tableaux", "--content", "600000"],
-    ["tableaux", "--inner", "2,1", "--beta", "9999999999"],
-    ["coeff", "-a", "1", "-b", "9999999999", "-g", "10000000000",
-     "--method", "tableau"],
+    (["tableaux", "--content", "9999999999"], "cells in one row"),
+    (["tableaux", "--content", "600000"], "cells in one row"),
+    (["tableaux", "--inner", "2,1", "--beta", "9999999999"], "cells in one row"),
+    (["coeff", "-a", "1", "-b", "9999999999", "-g", "10000000000",
+      "--method", "tableau"], "cells in one row"),
     # two tableaux of 9,999,999,999 inner markers each
-    ["tableaux", "--inner", "9999999999", "--content", "1"],
-    # the enumerator recurses once per row and once per letter
-    ["tableaux", "--content", ONES],
-    ["tableaux", "--inner", ONES, "--content", "1"],
-    ["coeff", "-a", ONES, "-b", "1", "-g", "2," + ",".join(["1"] * 1499),
-     "--method", "tableau"],
+    (["tableaux", "--inner", "9999999999", "--content", "1"], "inner markers"),
+    # 1,500 rows deep: past the partial-tableau limit, not out of stack
+    (["tableaux", "--content", ONES], "partial tableaux"),
+    (["tableaux", "--inner", ONES, "--content", "1"], "partial tableaux"),
 ], ids=["content-cells", "content-600000", "beta-cells", "coeff-cells",
-        "inner-markers", "deep-content", "deep-inner", "deep-coeff"])
-def test_oversized_tableaux_exit_3(capsys, argv):
+        "inner-markers", "deep-content", "deep-inner"])
+def test_oversized_tableaux_exit_3(capsys, argv, counted):
     # each ended in a MemoryError or RecursionError traceback and exit 1
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err.startswith("resource limit: ")
+    assert err.startswith("resource limit: refusing to enumerate ")
+    assert counted in err
     assert "Traceback" not in err
+
+
+def test_coeff_tableau_answers_a_shape_1500_rows_deep(capsys):
+    # one partial tableau per row: this ran out of stack, and exited 3
+    gamma = (2,) + (1,) * 1499
+    code, out, _ = run(capsys, "coeff", "-a", ONES, "-b", "1",
+                       "-g", ",".join(map(str, gamma)), "--method", "tableau")
+    assert (code, out) == (0, "1\n")
+    assert right_pieri((1,) * 1500, 1).coefficient(gamma) == 1
 
 
 def test_main_builds_no_parser_per_call(capsys, monkeypatch):

@@ -154,3 +154,15 @@ def test_saturation_checks_validate_input():
     for N in (True, 2.0):
         with pytest.raises(PreconditionError, match="N must be >= 1"):
             saturation_check_sym((1,), (1,), (2,), N)
+
+
+@pytest.mark.parametrize("check, a, b, c, message", [
+    (saturation_check_sym, (1,), (1,), ("x",), "not a composition"),
+    (saturation_check_sym, (1, 2), (1,), (9,), "not weakly decreasing"),
+    (saturation_check_nsym, (1,), ("x",), (2,), "not a composition"),
+    (saturation_check_nsym, (1,), (1,), (True, 5), "not a composition"),
+], ids=["sym-str", "sym-order", "nsym-str", "nsym-bool"])
+def test_saturation_checks_refuse_a_bad_index_before_the_sizes(check, a, b, c, message):
+    # a string part escaped as a TypeError from the size sum
+    with pytest.raises(PreconditionError, match=message):
+        check(a, b, c, 2)

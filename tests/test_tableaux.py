@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import pytest
@@ -149,6 +150,12 @@ PARTIAL_TABLEAU_COUNTS = [
      {"shape": (5, 4, 2, 1), "yamanouchi": True, "semistandard": True}, 4, 12),
     ((10, 10), (30, 20, 20),
      {"shape": (30, 30, 10, 10, 10), "yamanouchi": True}, 45, 159),
+    # some nodes' partial rows all fail partway along the row, under the
+    # cell above: none of them may count as a partial tableau to visit
+    ((5, 3, 3), (5, 5, 4), {"shape": (11, 5, 5, 4), "semistandard": True}, 28, 232),
+    # one partial tableau per row, 1,100 rows deep: past the default
+    # recursion limit, as the partial tableaux sit on one stack
+    ((1,) * 1100, (1,), {"shape": (2,) + (1,) * 1099}, 1, 1101),
 ]
 
 
@@ -164,6 +171,24 @@ def test_enumeration_partial_tableau_counts_are_pinned(
     with pytest.raises(ResourceLimitError,
                        match=f"{partial} partial tableaux .limit {partial - 1}"):
         enumerate_skew_immaculate(inner, content_vec, **options)
+
+
+def test_stacked_partial_tableaux_hold_no_rows(monkeypatch):
+    # 6,003 partial tableaux are counted before the refusal, most of them
+    # rows of up to 3,000 cells not yet built: a stacked one holds only its
+    # runs of letters, so the peak (0.8 MB) is far below that of a stack of
+    # whole rows (36.9 MB) or of one path of them plus the tableaux found
+    # (16.2 MB)
+    monkeypatch.setattr(LIMIT, 5000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError,
+                           match="6003 partial tableaux .limit 5000"):
+            enumerate_skew_immaculate((1,) * 50, (3000,), semistandard=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 @pytest.mark.parametrize("content_vec", [(1.5,), ("1",), (True, 1), (2.0,), (-1,)])
