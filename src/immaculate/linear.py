@@ -61,18 +61,13 @@ class LinComb:
         """Indices in graded-lex order: lexicographic, then stably by degree."""
         return sorted(sorted(self.terms), key=sum)
 
-    def _require_same_basis(self, other):
-        if not isinstance(other, LinComb) or other.basis != self.basis:
-            raise PreconditionError(
-                f"basis mismatch: {self.basis!r} vs {getattr(other, 'basis', other)!r}"
-            )
-
     def __add__(self, other):
-        self._require_same_basis(other)
+        _require_basis(other, self.basis)
         return linear_sum(self.basis, ((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self + (-other)
+        _require_basis(other, self.basis)
+        return linear_sum(self.basis, ((1, self), (-1, other)))
 
     def __neg__(self):
         return self.scaled(-1)
@@ -144,6 +139,13 @@ def _check_coefficient(c):
         raise PreconditionError(f"coefficient must be an int, got {c!r}")
 
 
+def _require_basis(f, basis: str):
+    """Refuse ``f`` unless it is a LinComb in ``basis``."""
+    if not isinstance(f, LinComb) or f.basis != basis:
+        got = f"basis {f.basis!r}" if isinstance(f, LinComb) else type(f).__name__
+        raise PreconditionError(f"expected a LinComb in basis {basis!r}, got {got}")
+
+
 def _built(basis: str, terms: dict) -> LinComb:
     """A combination whose indices the package built itself: no index
     checks, only zero coefficients are dropped.  ``terms`` must be a fresh
@@ -153,6 +155,15 @@ def _built(basis: str, terms: dict) -> LinComb:
     f.terms = terms if 0 not in terms.values() else {
         idx: c for idx, c in terms.items() if c}
     return f
+
+
+def _merged(basis: str, pairs) -> LinComb:
+    """The sum of the ``(index, coefficient)`` pairs, equal indices merged;
+    the package built every index, so none is checked."""
+    out = {}
+    for idx, c in pairs:
+        out[idx] = out.get(idx, 0) + c
+    return _built(basis, out)
 
 
 def _formatted(head: str, sep: str, end: str, indices, heads):

@@ -21,49 +21,41 @@ from .compositions import (
     permutations,
     sort_composition,
 )
-from .errors import PreconditionError
-from .linear import LinComb, _built, linear_sum, triangular_inverse
+from .linear import (
+    LinComb,
+    _built,
+    _merged,
+    _require_basis,
+    linear_sum,
+    triangular_inverse,
+)
 
 
-def _require(f: LinComb, basis: str):
-    if f.basis != basis:
-        raise PreconditionError(f"expected basis {basis!r}, got {f.basis!r}")
+def _term_products(f: LinComb, g: LinComb, basis: str, index) -> LinComb:
+    """The product of two combinations in ``basis`` whose basis elements
+    multiply to the element at ``index(a + b)``; the term products are
+    counted against ENUMERATION_LIMIT before any is built."""
+    _require_basis(f, basis)
+    _require_basis(g, basis)
+    check_enumeration(f"term products in {basis}", len(f.terms) * len(g.terms))
+    return _merged(basis, ((index(a + b), ca * cb)
+                           for a, ca in f.terms.items() for b, cb in g.terms.items()))
 
 
 def h_multiply(f: LinComb, g: LinComb) -> LinComb:
     """Product in the H basis: bilinear extension of index concatenation."""
-    _require(f, "H")
-    _require(g, "H")
-    check_enumeration("term products in H", len(f.terms) * len(g.terms))
-    out = {}
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            idx = a + b
-            out[idx] = out.get(idx, 0) + ca * cb
-    return _built("H", out)
+    return _term_products(f, g, "H", tuple)
 
 
 def sym_multiply(f: LinComb, g: LinComb) -> LinComb:
     """Product in the commutative h basis: concatenate, then sort the index."""
-    _require(f, "h")
-    _require(g, "h")
-    check_enumeration("term products in h", len(f.terms) * len(g.terms))
-    out = {}
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            idx = sort_composition(a + b)
-            out[idx] = out.get(idx, 0) + ca * cb
-    return _built("h", out)
+    return _term_products(f, g, "h", sort_composition)
 
 
 def forgetful_chi(f: LinComb) -> LinComb:
     """Project H onto h by sorting every index; terms merge after sorting."""
-    _require(f, "H")
-    out = {}
-    for a, c in f.terms.items():
-        idx = sort_composition(a)
-        out[idx] = out.get(idx, 0) + c
-    return _built("h", out)
+    _require_basis(f, "H")
+    return _merged("h", zip(map(sort_composition, f.terms), f.terms.values()))
 
 
 @lru_cache(maxsize=None)
@@ -86,13 +78,13 @@ def immaculate_to_H(alpha) -> LinComb:
 
 def H_to_immaculate(f: LinComb) -> LinComb:
     """Invert the expansion of the S basis by triangular elimination."""
-    _require(f, "H")
+    _require_basis(f, "H")
     return triangular_inverse(f, immaculate_to_H, "S")
 
 
 def immaculate_comb_to_H(f: LinComb) -> LinComb:
     """Linear extension of the S -> H expansion."""
-    _require(f, "S")
+    _require_basis(f, "S")
     return linear_sum("H", ((c, immaculate_to_H(a)) for a, c in f.terms.items()))
 
 

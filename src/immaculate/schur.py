@@ -20,8 +20,8 @@ from .compositions import (
     sort_composition,
 )
 from .errors import PreconditionError
-from .linear import LinComb, _built, triangular_inverse
-from .nsym import _require, structure_constant, sym_multiply
+from .linear import LinComb, _built, _require_basis, triangular_inverse
+from .nsym import structure_constant, sym_multiply
 from .tableaux import count_immaculate_LR, enumerate_skew_immaculate
 
 
@@ -45,7 +45,7 @@ def schur_to_h(lam) -> LinComb:
 def h_to_schur(f: LinComb) -> LinComb:
     """Invert the h expansion of the Schur basis by triangular elimination
     over partitions in graded-lex order."""
-    _require(f, "h")
+    _require_basis(f, "h")
     return triangular_inverse(f, schur_to_h, "s")
 
 

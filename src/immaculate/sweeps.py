@@ -161,16 +161,15 @@ def sweep_lr_partition(max_size):
     """Every oracle coefficient with a partition right factor equals the
     immaculate Yamanouchi tableau count (hence is nonnegative), for
     |alpha| + |lam| <= max_size.  The counts come from one shape-free
-    enumeration per pair (``immaculate_LR_product``); each gamma in either
-    expansion's support is compared, in the order of
-    ``compositions_of(|alpha| + |lam|)``, and every other gamma is zero in
-    both."""
+    enumeration per pair (``immaculate_LR_product``); only the gamma in
+    either expansion's support are compared, by length and then
+    lexicographically (the order of ``compositions_of``), since every other
+    gamma is zero in both."""
     for alpha, lam in _pairs(max_size, partitions_of):
         expansion = product_in_S_oracle(alpha, lam)
         counts = immaculate_LR_product(alpha, lam)
-        for gamma in compositions_of(sum(alpha) + sum(lam)):
-            if gamma not in expansion.terms and gamma not in counts.terms:
-                continue
+        for gamma in sorted(expansion.terms.keys() | counts.terms.keys(),
+                            key=lambda g: (len(g), g)):
             yield (expansion.coefficient(gamma), counts.coefficient(gamma),
                    "LR count mismatch at alpha={}, lam={}, gamma={}: "
                    "oracle {got} vs count {want}", (alpha, lam, gamma))

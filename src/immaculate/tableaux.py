@@ -25,7 +25,7 @@ from .compositions import (
     shifted_entries,
 )
 from .errors import InvalidVectorError, PreconditionError
-from .linear import LinComb, _built
+from .linear import LinComb, _built, _merged
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,11 +255,8 @@ def immaculate_LR_product(alpha, lam) -> LinComb:
     adding 1 at its outer shape.  For one coefficient count_immaculate_LR,
     which prunes by the shape, is faster."""
     lam = check_partition(lam)
-    out = {}
-    for t in enumerate_skew_immaculate(alpha, lam, yamanouchi=True):
-        gamma = t.shape_composition()
-        out[gamma] = out.get(gamma, 0) + 1
-    return _built("S", out)
+    return _merged("S", ((t.shape_composition(), 1)
+                         for t in enumerate_skew_immaculate(alpha, lam, yamanouchi=True)))
 
 
 def sigma_of(t: SkewTableau, beta) -> Permutation | None:
@@ -322,8 +319,5 @@ def signed_product(alpha, beta) -> LinComb:
 def signed_product_via_tableaux(alpha, beta) -> LinComb:
     """Second route for the same product: direct generation of the tableau
     family and summation of signs by outer shape."""
-    out = {}
-    for t, sigma in enumerate_T_alpha_beta(alpha, beta):
-        gamma = t.shape_composition()
-        out[gamma] = out.get(gamma, 0) + sigma.sign
-    return _built("S", out)
+    return _merged("S", ((t.shape_composition(), sigma.sign)
+                         for t, sigma in enumerate_T_alpha_beta(alpha, beta)))

@@ -6,6 +6,14 @@ from hypothesis import given, strategies as st
 from immaculate.compositions import compositions_of, partitions_of
 from immaculate.errors import PreconditionError
 from immaculate.linear import BASES, LinComb, _built
+from immaculate.nsym import (
+    H_to_immaculate,
+    forgetful_chi,
+    h_multiply,
+    immaculate_comb_to_H,
+    sym_multiply,
+)
+from immaculate.schur import h_to_schur
 
 
 def test_zero_terms_dropped():
@@ -49,6 +57,14 @@ def test_partition_bases_reject_compositions():
     lambda: LinComb.from_json_dict({"basis": "S", "terms": [{"coefficient": 1,
                                                                "index": 5}]}),
     lambda: LinComb.from_json_dict([1]),
+    # a public function taking a LinComb refuses anything else on entry
+    lambda: h_multiply((1,), LinComb.monomial("H", (1,))),
+    lambda: sym_multiply(LinComb.monomial("h", (1,)), {(1,): 1}),
+    lambda: forgetful_chi(None),
+    lambda: H_to_immaculate({(1,): 1}),
+    lambda: immaculate_comb_to_H([1]),
+    lambda: h_to_schur(3),
+    lambda: LinComb.monomial("S", (1,)) - (1,),
 ])
 def test_public_constructors_reject_bad_input(build):
     with pytest.raises(PreconditionError):
