@@ -1,18 +1,20 @@
 """Command-line front end: compute, convert, count, enumerate, and verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource limit exceeded.
+Exit codes: 0 success (also when the reader closes stdout while an answer
+is written), 1 verification failure, 2 usage or parse error, 3 resource
+limit exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .compositions import check_enumeration, is_partition
 from .errors import PreconditionError, ResourceLimitError
-from .linear import LinComb, linear_sum
+from .linear import CHUNK_TERMS, LinComb, linear_sum
 from .nsym import (
     H_to_immaculate,
     forgetful_chi,
@@ -78,8 +80,15 @@ def parse_basis_index(text: str) -> tuple:
     return basis, parse_composition(rest)
 
 
+def write_pieces(pieces):
+    """Write the pieces of one answer to stdout, then a newline; the whole
+    text is never held at once."""
+    sys.stdout.writelines(pieces)
+    sys.stdout.write("\n")
+
+
 def emit_combination(f: LinComb, fmt: str):
-    print(f.to_json() if fmt == "json" else str(f))
+    write_pieces(f.json_chunks() if fmt == "json" else f.text_chunks())
 
 
 def _single_part(alpha) -> int:
@@ -188,6 +197,17 @@ def tableau_json_dict(t: SkewTableau, sigma=None):
     return data
 
 
+def tableau_json_chunks(selected):
+    """``json.dumps`` of the list of the tableaux' JSON objects, in pieces
+    of at most ``CHUNK_TERMS`` tableaux."""
+    yield "["
+    for start in range(0, len(selected), CHUNK_TERMS):
+        chunk = json.dumps([tableau_json_dict(t, s)
+                            for t, s in selected[start:start + CHUNK_TERMS]])
+        yield (", " if start else "") + chunk[1:-1]
+    yield "]"
+
+
 def cmd_tableaux(args) -> int:
     inner = parse_composition(args.inner)
     shape = parse_composition(args.shape) if args.shape else None
@@ -201,7 +221,7 @@ def cmd_tableaux(args) -> int:
         selected = [(t, None) for t in found]
 
     if args.format == "json":
-        print(json.dumps([tableau_json_dict(t, s) for t, s in selected]))
+        write_pieces(tableau_json_chunks(selected))
         return EXIT_OK
     check_enumeration("inner markers to draw", len(selected) * sum(inner))
     for i, (t, sigma) in enumerate(selected):
@@ -308,6 +328,14 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout and chose to stop: no error.  What is
+        # left in the buffer, flushed at interpreter exit, goes to the null
+        # device, so that flush raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
         # running out of stack or memory is a resource limit too, not a crash
         print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -16,6 +16,9 @@ from .errors import PreconditionError
 
 BASES = ("H", "S", "h", "s")
 _PARTITION_BASES = ("h", "s")
+# the most terms one written piece of a combination holds, so that a large
+# answer is written without its whole text in memory at once
+CHUNK_TERMS = 4096
 
 
 class LinComb:
@@ -59,7 +62,9 @@ class LinComb:
 
     def support(self):
         """Indices in graded-lex order: lexicographic, then stably by degree."""
-        return sorted(sorted(self.terms), key=sum)
+        support = sorted(self.terms)
+        support.sort(key=sum)  # in place: one list, not two
+        return support
 
     def __add__(self, other):
         _require_basis(other, self.basis)
@@ -97,31 +102,43 @@ class LinComb:
 
     def __str__(self):
         """``S[1,2] - 2*S[3]``: terms in graded-lex order, unit coefficients
-        left out.  Each term is written as `` + S[1,2]`` or `` - 2*S[3]``
-        with one head per distinct coefficient and one format string per
-        index length; the leading sign is fixed after."""
+        left out; the pieces of ``text_chunks`` joined."""
+        return "".join(self.text_chunks())
+
+    def text_chunks(self):
+        """``str(self)`` in pieces of at most ``CHUNK_TERMS`` terms.  Each
+        term is written as `` + S[1,2]`` or `` - 2*S[3]``, with one head per
+        distinct coefficient; the leading sign is fixed on the first piece."""
         if not self.terms:
-            return "0"
-        support = self.support()
-        coefficients = list(map(self.terms.__getitem__, support))
+            yield "0"
+            return
         heads = {c: f"{' + ' if c > 0 else ' - '}{'' if c in (1, -1) else f'{abs(c)}*'}"
-                    f"{self.basis}" for c in set(coefficients)}
-        text = "".join(_formatted("%s[", ",", "]", support,
-                                  zip(map(heads.__getitem__, coefficients))))
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+                    f"{self.basis}" for c in set(self.terms.values())}
+        support = self.support()
+        pieces = _formatted("%s[", ",", "]", "", support, list(map(
+            heads.__getitem__, map(self.terms.__getitem__, support))))
+        first = next(pieces)
+        yield first[3:] if first[1] == "+" else "-" + first[3:]
+        yield from pieces
 
     def __repr__(self):
         return f"LinComb({self.basis!r}, {dict(self.items())!r})"
 
     def to_json(self) -> str:
         """The JSON text ``{"basis": ..., "terms": [{"coefficient": c,
-        "index": [...]}, ...]}``, terms in graded-lex order, written in one
-        pass with one format string per index length; byte-identical to
-        ``json.dumps`` of that object."""
+        "index": [...]}, ...]}``, terms in graded-lex order; the pieces of
+        ``json_chunks`` joined, byte-identical to ``json.dumps`` of that
+        object."""
+        return "".join(self.json_chunks())
+
+    def json_chunks(self):
+        """``to_json()`` in pieces of at most ``CHUNK_TERMS`` terms: the
+        opening, the terms, the closing."""
         support = self.support()
-        terms = ", ".join(_formatted('{"coefficient": %d, "index": [', ", ", "]}",
-                                     support, zip(map(self.terms.__getitem__, support))))
-        return '{"basis": "%s", "terms": [%s]}' % (self.basis, terms)
+        yield '{"basis": "%s", "terms": [' % self.basis
+        yield from _formatted('{"coefficient": %d, "index": [', ", ", "]}", ", ",
+                              support, list(map(self.terms.__getitem__, support)))
+        yield "]}"
 
     @classmethod
     def from_json_dict(cls, data):
@@ -166,14 +183,21 @@ def _merged(basis: str, pairs) -> LinComb:
     return _built(basis, out)
 
 
-def _formatted(head: str, sep: str, end: str, indices, heads):
-    """The terms as text: per index, ``head`` with its one placeholder
-    filled from the matching 1-tuple of ``heads``, then the index's parts
-    joined by ``sep``, then ``end``.  One format string per index length,
-    and no Python call per term."""
+def _formatted(head: str, sep: str, end: str, joiner: str, indices, values):
+    """The terms as text, in pieces of at most ``CHUNK_TERMS`` terms: per
+    index, ``head`` with its one placeholder filled from the matching entry
+    of ``values``, then the index's parts joined by ``sep``, then ``end``.
+    The terms of a piece are joined by ``joiner``, which also leads every
+    piece but the first.  One format string per index length, and no
+    Python call per term."""
     formats = {k: head + sep.join(["%d"] * k) + end for k in set(map(len, indices))}
-    return map(str.__mod__, map(formats.__getitem__, map(len, indices)),
-               map(tuple.__add__, heads, indices))
+    lead = ""
+    for start in range(0, len(indices), CHUNK_TERMS):
+        part = indices[start:start + CHUNK_TERMS]
+        yield lead + joiner.join(map(
+            str.__mod__, map(formats.__getitem__, map(len, part)),
+            map(tuple.__add__, zip(values[start:start + CHUNK_TERMS]), part)))
+        lead = joiner
 
 
 def linear_sum(basis: str, pairs) -> LinComb:

@@ -1,10 +1,12 @@
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,10 +15,15 @@ from immaculate import cli
 from immaculate.cli import main, parse_basis_index, parse_composition, parse_vector
 from immaculate.compositions import compositions_of
 from immaculate.errors import PreconditionError
-from immaculate.linear import LinComb, linear_sum
+from immaculate.linear import CHUNK_TERMS, LinComb, linear_sum
 from immaculate.nsym import H_to_immaculate, product_in_S_oracle
 from immaculate.pieri import right_pieri
-from immaculate.tableaux import SkewTableau, is_semistandard, is_yamanouchi
+from immaculate.tableaux import (
+    SkewTableau,
+    enumerate_T_alpha_beta,
+    is_semistandard,
+    is_yamanouchi,
+)
 
 
 def run(capsys, *argv):
@@ -25,15 +32,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_child(*argv, timeout=None):
-    """The CLI in a child process, which imports the package under test,
-    installed or not."""
+def child_argv_env(argv):
+    """The command line and environment of the CLI in a child process,
+    which imports the package under test, installed or not."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "immaculate.cli", *argv], capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=timeout,
-    )
+    return [sys.executable, "-m", "immaculate.cli", *argv], {**os.environ, "PYTHONPATH": path}
+
+
+def run_child(*argv, timeout=None):
+    command, env = child_argv_env(argv)
+    return subprocess.run(command, capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -467,6 +477,43 @@ def test_output_bytes_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_large_answer_is_written_without_its_whole_text():
+    f = right_pieri((1,) * 5, 20)  # 53,130 terms, 2,596,360 characters of JSON
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cli.emit_combination(f, "json")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    # written as one string, it peaked at about three times its length
+    assert peak < len(f.to_json())
+
+
+def test_tableau_json_in_pieces_is_json_dumps_of_the_whole_list(capsys):
+    # 6,027 tableaux: one full piece and one part-full
+    family = enumerate_T_alpha_beta((1, 1), (3, 3, 2))
+    assert CHUNK_TERMS < len(family) < 2 * CHUNK_TERMS
+    code, out, err = run(capsys, "tableaux", "--inner", "1,1", "--beta", "3,3,2",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps([cli.tableau_json_dict(t, s) for t, s in family]) + "\n"
+
+
+def test_a_reader_that_stops_early_gets_exit_0_and_no_traceback():
+    # as `| head -c 100` does: read 100 bytes of a 2.6 MB answer, then close
+    command, env = child_argv_env(["right-pieri", "--alpha", "1,1,1,1,1", "--s", "20",
+                                   "--format", "json"])
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.read(100).startswith(b'{"basis": "S", "terms": [')
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 ROUTE_LEFTS = ("S:2", "H:2", "S:2,1", "H:2,1", "S:0")

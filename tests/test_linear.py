@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from immaculate.compositions import compositions_of, partitions_of
 from immaculate.errors import PreconditionError
-from immaculate.linear import BASES, LinComb, _built
+from immaculate.linear import BASES, CHUNK_TERMS, LinComb, _built
 from immaculate.nsym import (
     H_to_immaculate,
     forgetful_chi,
@@ -141,10 +141,33 @@ lincombs = st.builds(
 )
 
 
+def joined(pieces, marker):
+    """The pieces joined, once no piece is seen to hold more than
+    ``CHUNK_TERMS`` terms; every term holds ``marker`` once."""
+    pieces = list(pieces)
+    assert all(p.count(marker) <= CHUNK_TERMS for p in pieces)
+    return "".join(pieces)
+
+
 @given(lincombs)
 def test_to_json_matches_json_dumps(f):
-    assert f.to_json() == json.dumps(reference(f))
+    assert joined(f.json_chunks(), '"coefficient"') == f.to_json() == json.dumps(reference(f))
     assert LinComb.from_json_dict(json.loads(f.to_json())) == f
+
+
+def with_terms(n):
+    """A combination of ``n`` terms: indices of one to five parts,
+    coefficients of both signs, unit and not."""
+    return LinComb("S", {tuple(int(d) + 1 for d in str(k)): (k % 5 + 1) * (-1) ** k
+                         for k in range(n)})
+
+
+# on and around the piece boundaries of the writers: no term, one, one
+# short of a full piece, a full piece, one over, two full pieces and one over
+CHUNK_BOUNDARY_CASES = [
+    pytest.param(with_terms(n), id=f"{n}-terms")
+    for n in (0, 1, CHUNK_TERMS - 1, CHUNK_TERMS, CHUNK_TERMS + 1, 2 * CHUNK_TERMS + 1)
+]
 
 
 @pytest.mark.parametrize("f", [
@@ -153,10 +176,13 @@ def test_to_json_matches_json_dumps(f):
     LinComb("S", {(1,): -(10**60), (2, 1): 10**60, (3,): 1}),
     LinComb("h", {(3, 2, 1): 2, (1,): -1, (2,): 0}),
     LinComb("s", {(1,): 1, (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4): -7}),
+    *CHUNK_BOUNDARY_CASES,
 ])
 def test_to_json_fixed_cases(f):
-    assert f.to_json() == json.dumps(reference(f))
+    """Both writers, JSON and text, against their term-by-term references."""
+    assert joined(f.json_chunks(), '"coefficient"') == f.to_json() == json.dumps(reference(f))
     assert LinComb.from_json_dict(json.loads(f.to_json())) == f
+    assert joined(f.text_chunks(), "[") == str(f) == text_reference(f)
 
 
 def text_reference(f):
@@ -172,7 +198,7 @@ def text_reference(f):
 
 @given(lincombs)
 def test_str_matches_term_by_term_reference(f):
-    assert str(f) == text_reference(f)
+    assert joined(f.text_chunks(), "[") == str(f) == text_reference(f)
 
 
 def test_built_keeps_a_dict_without_zeros():
