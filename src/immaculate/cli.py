@@ -328,14 +328,6 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except BrokenPipeError:
-        # the reader closed stdout and chose to stop: no error.  What is
-        # left in the buffer, flushed at interpreter exit, goes to the null
-        # device, so that flush raises nothing either.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_OK
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
         # running out of stack or memory is a resource limit too, not a crash
         print(f"resource limit: {str(exc) or type(exc).__name__}", file=sys.stderr)
@@ -345,5 +337,22 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def _process_main():
+    """The process entry, for ``python -m immaculate.cli`` and the
+    ``immaculate`` script: ``main``, then stdout flushed, and exit.  A reader
+    that closed stdout, while ``main`` wrote or before this flush, chose to
+    stop: no error.  What is left in the buffer, flushed at interpreter exit,
+    goes to the null device, so that flush raises nothing either."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_OK
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _process_main()

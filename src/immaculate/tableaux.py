@@ -173,13 +173,17 @@ def enumerate_skew_immaculate(
     content_vec = tuple(content_vec)
     if not all(type(c) is int and c >= 0 for c in content_vec):  # no bool
         raise InvalidVectorError(f"content must be ints >= 0: {content_vec!r}")
-    m = len(content_vec)
-    total = sum(content_vec)
+    return [t for t, _ in _enumerated(inner, [(content_vec, None)], shape,
+                                      yamanouchi, semistandard)]
+
+
+def _enumerated(inner, roots, shape, yamanouchi, semistandard):
+    """Each root (content, tag) enumerated in turn, as (tableau, tag) pairs."""
+    m, total = len(roots[0][0]), sum(roots[0][0])  # the same for every root
     if shape is not None:
         shape = check_composition(shape)
-        if len(shape) < len(inner) or sum(shape) - sum(inner) != total or any(
-            map(lt, shape, inner)
-        ):
+        if (len(shape) < len(inner) or sum(shape) - sum(inner) != total
+                or any(map(lt, shape, inner))):
             return []
         longest = max(map(sub, shape, inner + (0,) * len(shape)), default=0)
     else:
@@ -192,12 +196,12 @@ def enumerate_skew_immaculate(
     # past row ``last`` with no content left a tableau is done; with ``shape``
     # the fixed row sizes leave none
     last = len(inner) if shape is None else len(shape)
-    # stacked: a row index, the content and rows above that row, and the row's
-    # runs, last letter first, as (letter, copies, rest) or None; root: row 0
-    stack = [(1, content_vec, (), None)]
-    stacked = 1  # partial tableaux stacked so far: each will be visited
+    # stacked: a row index, the content and rows above that row, the row's runs,
+    # last letter first, as (letter, copies, rest) or None, and its root (row 0)
+    stack = [(1, root[0], (), None, root) for root in reversed(roots)]
+    stacked = len(stack)  # partial tableaux stacked so far: each will be visited
     while stack:
-        r, remaining, rows, run = stack.pop()
+        r, remaining, rows, run, root = stack.pop()
         row, remaining = (), list(remaining)
         while run:
             letter, k, run = run
@@ -205,11 +209,11 @@ def enumerate_skew_immaculate(
             remaining[letter - 1] -= k
         rows, remaining = rows + (row,), tuple(remaining)
         if r > last and not any(remaining):
-            results.append(_tableau(inner, rows[1:]))
+            results.append((_tableau(inner, rows[1:]), root[1]))
             continue
         caps = remaining
         if yamanouchi:
-            used = tuple(map(sub, content_vec, remaining))
+            used = tuple(map(sub, root[0], remaining))
             caps = tuple(map(min, caps, (total, *map(sub, used, used[1:]))))
         tail = list(accumulate(caps[::-1], initial=0))[::-1]
         low, high = (0, total) if shape is None else (shape[r - 1] - pad[r],) * 2
@@ -238,7 +242,7 @@ def enumerate_skew_immaculate(
                 break  # the node has no child
         stacked += len(level)
         check_enumeration("partial tableaux", stacked)
-        stack += [(r + 1, remaining, rows, run) for _, run in reversed(level)]
+        stack += [(r + 1, remaining, rows, run, root) for _, run in reversed(level)]
     return results
 
 
@@ -278,16 +282,12 @@ def enumerate_T_alpha_beta(
 ):
     """All (T, sigma(T)) with T immaculate of inner shape alpha, entries in
     {1..len(beta)}, and c(T) - beta + Id a permutation; only outer shape
-    ``shape``, and only Yamanouchi or semistandard T, when asked."""
+    ``shape``, and only Yamanouchi or semistandard T, when asked.  Every sigma's
+    content roots one enumeration, so all their partial tableaux count together."""
     alpha = check_composition(alpha)
     beta = check_composition(beta)
-    out = []
-    for sigma, c in shifted_entries(beta):
-        for t in enumerate_skew_immaculate(
-            alpha, c, shape=shape, yamanouchi=yamanouchi, semistandard=semistandard
-        ):
-            out.append((t, sigma))
-    return out
+    roots = [(c, sigma) for sigma, c in shifted_entries(beta)]
+    return _enumerated(alpha, roots, shape, yamanouchi, semistandard)
 
 
 def signed_product(alpha, beta) -> LinComb:

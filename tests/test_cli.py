@@ -252,19 +252,26 @@ def test_tableaux_latex(capsys):
     assert "\\none" in out
 
 
-def test_usage_errors_exit_2(capsys):
-    code, _, err = run(capsys, "product", "--left", "S:x", "--right", "S:1")
-    assert code == 2
-    assert "error" in err
-    code, _, err = run(capsys, "coeff", "-a", "1,2", "-b", "1", "-g", "1",
-                       "--method", "closed-form")
-    assert code == 2
-    assert "single-part left factor" in err
+USAGE_ERRORS = [
+    (["product", "--left", "S:x", "--right", "S:1"], "error"),
+    (["coeff", "-a", "1,2", "-b", "1", "-g", "1", "--method", "closed-form"],
+     "single-part left factor"),
     # H_(2,1) is no single-part factor: the closed form would drop its tail
-    code, out, err = run(capsys, "product", "--left", "H:2,1", "--right", "S:1",
-                         "--method", "closed-form")
-    assert (code, out) == (2, "")
-    assert "single-part left factor" in err
+    (["product", "--left", "H:2,1", "--right", "S:1", "--method", "closed-form"],
+     "single-part left factor"),
+    (["product", "--left", "S:2,0", "--right", "S:1"], "not a composition"),
+    (["product", "--left", "2,4", "--right", "S:1"], "expected BASIS:parts"),
+    (["product", "--left", "X:1", "--right", "S:1"], "basis must be H or S"),
+    (["coeff", "-a", "1", "-b", "1,2", "-g", "2,2", "--method", "tableau"],
+     "needs a partition beta"),
+]
+
+
+def test_usage_errors_exit_2(capsys):
+    for argv, message in USAGE_ERRORS:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err, argv
 
 
 def test_resource_limit_exit_3(capsys):
@@ -301,8 +308,11 @@ def test_tableau_enumeration_limit_exit_3(capsys, monkeypatch):
     # each right Pieri step is small; the walk over all permutations is not
     (["product", "--left", "S:1,1,1,1", "--right", "S:14,14", "--method", "tableau"],
      "500616 right Pieri terms in the signed product (limit 500000)", 5),
+    # 486 sigmas, each small: their partial tableaux count together
+    (["tableaux", "--beta", "2,2,2,2,2,2,2", "--format", "json"],
+     "partial tableaux", 30),
 ], ids=["convert", "right-pieri", "left-pieri", "oracle-product",
-        "convert-to-S", "tableau-product"])
+        "convert-to-S", "tableau-product", "beta-family"])
 def test_oversized_enumerations_refused_at_once(argv, counted, seconds):
     # each ran for minutes or hours, or ran out of memory, before it was counted
     proc = run_child(*argv, timeout=seconds)
@@ -511,6 +521,18 @@ def test_a_reader_that_stops_early_gets_exit_0_and_no_traceback():
     proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=env)
     assert proc.stdout.read(100).startswith(b'{"basis": "S", "terms": [')
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_a_reader_that_closed_stdout_before_the_exit_flush_gets_exit_0():
+    # block-buffered, the one-line answer stays in the buffer until the
+    # process flushes it, after the reader has gone
+    command, env = child_argv_env(["coeff", "-a", "2", "-b", "2,4", "-g", "3,1,4"])
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (0, b"")

@@ -10,6 +10,7 @@ from immaculate.compositions import (
     compositions_of,
     partitions_of,
     scale,
+    shifted_entries,
 )
 from immaculate.errors import (
     InvalidVectorError,
@@ -218,6 +219,23 @@ def test_T_family_with_shape_is_the_filtered_family():
             assert enumerate_T_alpha_beta(alpha, beta, shape=gamma) == [
                 (t, sigma) for t, sigma in family if t.shape_composition() == gamma
             ]
+
+
+def test_T_family_counts_the_partial_tableaux_of_every_sigma_together(monkeypatch):
+    # the two sigmas of S_(2) * S_(2,4) visit 70 and 68 partial tableaux
+    # alone, so each fits under a limit of 70; the family visits 138
+    alpha, beta = (2,), (2, 4)
+    monkeypatch.setattr(LIMIT, 70)
+    assert [len(enumerate_skew_immaculate(alpha, c))
+            for _, c in shifted_entries(beta)] == [35, 34]
+    monkeypatch.setattr(LIMIT, 137)
+    with pytest.raises(ResourceLimitError, match="138 partial tableaux .limit 137"):
+        enumerate_T_alpha_beta(alpha, beta)
+    # answered at 138, each sigma's tableaux in turn, in the order of sigma
+    monkeypatch.setattr(LIMIT, 138)
+    assert enumerate_T_alpha_beta(alpha, beta) == [
+        (t, sigma) for sigma, c in shifted_entries(beta)
+        for t in enumerate_skew_immaculate(alpha, c)]
 
 
 def test_signed_product_example():
