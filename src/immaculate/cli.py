@@ -235,8 +235,6 @@ def cmd_tableaux(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.max_size < 0:
-        raise PreconditionError(f"--max-size must be >= 0, got {args.max_size}")
     witness = SUITES[args.suite](args.max_size)
     if witness is not None:
         print(f"suite {args.suite}: FAIL: {witness}")
@@ -265,6 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, choices=("text", "json")):
         p.add_argument("--format", choices=choices, default="text")
 
+    def count(text):
+        # the one entry of a vector: refused as a composition entry would be
+        (entry,) = parse_vector(text)
+        return entry
+
     p = sub.add_parser("product", help="expand a product of basis elements")
     p.add_argument("--left", required=True, metavar="BASIS:PARTS")
     p.add_argument("--right", required=True, metavar="BASIS:PARTS")
@@ -287,12 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("right-pieri", help="expand S_alpha * H_s")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--s", required=True, type=int)
+    p.add_argument("--s", required=True, type=count)
     add_format(p)
     p.set_defaults(func=cmd_right_pieri)
 
     p = sub.add_parser("left-pieri", help="expand H_s * S_beta")
-    p.add_argument("--s", required=True, type=int)
+    p.add_argument("--s", required=True, type=count)
     p.add_argument("--beta", required=True)
     add_format(p)
     p.set_defaults(func=cmd_left_pieri)
@@ -311,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_DEGREE)
+    p.add_argument("--max-size", type=count, default=DEFAULT_MAX_DEGREE)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -190,26 +190,26 @@ def _enumerated(inner, roots, shape, yamanouchi, semistandard):
         longest = total
     check_enumeration("cells in one row", longest)
 
-    results = []
+    results, path = [], []  # path: the rows of the node visited, one per depth
     # pad[r]: inner cells of row r; each row below the inner shape uses up a letter
     pad = (0,) + inner + (0,) * (m + 1)
-    # past row ``last`` with no content left a tableau is done; with ``shape``
-    # the fixed row sizes leave none
+    # a tableau is done past row ``last`` with no content left (``shape`` leaves none)
     last = len(inner) if shape is None else len(shape)
-    # stacked: a row index, the content and rows above that row, the row's runs,
-    # last letter first, as (letter, copies, rest) or None, and its root (row 0)
-    stack = [(1, root[0], (), None, root) for root in reversed(roots)]
+    # stacked: a row index, the content left above that row, the row's runs,
+    # last letter first, as (letter, copies, rest) or None, and its root (row 0);
+    # popped depth first, so path[:r - 1] holds the rows above a popped row r
+    stack = [(1, root[0], None, root) for root in reversed(roots)]
     stacked = len(stack)  # partial tableaux stacked so far: each will be visited
     while stack:
-        r, remaining, rows, run, root = stack.pop()
+        r, remaining, run, root = stack.pop()
         row, remaining = (), list(remaining)
         while run:
             letter, k, run = run
             row = (letter,) * k + row
             remaining[letter - 1] -= k
-        rows, remaining = rows + (row,), tuple(remaining)
+        path[r - 1:], remaining = (row,), tuple(remaining)
         if r > last and not any(remaining):
-            results.append((_tableau(inner, rows[1:]), root[1]))
+            results.append((_tableau(inner, tuple(path[1:])), root[1]))
             continue
         caps = remaining
         if yamanouchi:
@@ -221,9 +221,9 @@ def _enumerated(inner, roots, shape, yamanouchi, semistandard):
         need = remaining[start] if r > len(inner) else 0
         most = (total,) * m
         if semistandard and r > 1:
-            above, off = rows[-1], pad[r] - pad[r - 1]
-            firsts = [max(off, bisect_left(above, v)) for v in range(1, m + 1)]
-            most = [q - off if q < len(above) else total for q in firsts]
+            off = pad[r] - pad[r - 1]  # ``row`` is the row above
+            firsts = [max(off, bisect_left(row, v)) for v in range(1, m + 1)]
+            most = [q - off if q < len(row) else total for q in firsts]
             # past its first letter a partial row can fail no bound but this
             # one, which does not depend on the row (``most`` only grows)
             if low > min(map(add, most[start:], tail[start + 1:]), default=low):
@@ -242,7 +242,7 @@ def _enumerated(inner, roots, shape, yamanouchi, semistandard):
                 break  # the node has no child
         stacked += len(level)
         check_enumeration("partial tableaux", stacked)
-        stack += [(r + 1, remaining, rows, run, root) for _, run in reversed(level)]
+        stack += [(r + 1, remaining, run, root) for _, run in reversed(level)]
     return results
 
 

@@ -264,6 +264,12 @@ USAGE_ERRORS = [
     (["product", "--left", "X:1", "--right", "S:1"], "basis must be H or S"),
     (["coeff", "-a", "1", "-b", "1,2", "-g", "2,2", "--method", "tableau"],
      "needs a partition beta"),
+    # --s and --max-size are read as a composition entry is: no underscore,
+    # sign or non-ASCII digit
+    (["right-pieri", "--alpha", "1", "--s", "1_0"], "argument --s"),
+    (["right-pieri", "--alpha", "1", "--s", "+2"], "argument --s"),
+    (["left-pieri", "--s", "\u0663", "--beta", "1"], "argument --s"),
+    (["verify", "--suite", "roundtrip", "--max-size", "0_3"], "argument --max-size"),
 ]
 
 
@@ -311,8 +317,11 @@ def test_tableau_enumeration_limit_exit_3(capsys, monkeypatch):
     # 486 sigmas, each small: their partial tableaux count together
     (["tableaux", "--beta", "2,2,2,2,2,2,2", "--format", "json"],
      "partial tableaux", 30),
+    # 4,000 rows deep: no pop copies the rows above it
+    (["tableaux", "--inner", ",".join(["1"] * 4000), "--content", "1"],
+     "500001 partial tableaux", 4),
 ], ids=["convert", "right-pieri", "left-pieri", "oracle-product",
-        "convert-to-S", "tableau-product", "beta-family"])
+        "convert-to-S", "tableau-product", "beta-family", "deep-inner-4000"])
 def test_oversized_enumerations_refused_at_once(argv, counted, seconds):
     # each ran for minutes or hours, or ran out of memory, before it was counted
     proc = run_child(*argv, timeout=seconds)
