@@ -7,6 +7,8 @@ terms iterate in graded lexicographic order so output is deterministic.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .compositions import (
     check_composition,
     check_enumeration,
@@ -19,6 +21,20 @@ _PARTITION_BASES = ("h", "s")
 # the most terms one written piece of a combination holds, so that a large
 # answer is written without its whole text in memory at once
 CHUNK_TERMS = 4096
+
+
+class _DecimalText(dict):
+    """The decimal text of an index part: read from the table for the parts
+    it holds, ``str(part)`` for any other."""
+
+    __slots__ = ()
+
+    def __missing__(self, part):
+        return str(part)
+
+
+# the parts below 1024, written once; the table never grows
+_PART_TEXT = _DecimalText(zip(range(1024), map(str, range(1024))))
 
 
 class LinComb:
@@ -112,11 +128,15 @@ class LinComb:
         if not self.terms:
             yield "0"
             return
-        heads = {c: f"{' + ' if c > 0 else ' - '}{'' if c in (1, -1) else f'{abs(c)}*'}"
-                    f"{self.basis}" for c in set(self.terms.values())}
+        basis = self.basis
+
+        def head(c):
+            return (f"{' + ' if c > 0 else ' - '}"
+                    f"{'' if c in (1, -1) else f'{abs(c)}*'}{basis}[")
+
         support = self.support()
-        pieces = _formatted("%s[", ",", "]", "", support, list(map(
-            heads.__getitem__, map(self.terms.__getitem__, support))))
+        pieces = _formatted(head, ",", "]", "", support,
+                            list(map(self.terms.__getitem__, support)))
         first = next(pieces)
         yield first[3:] if first[1] == "+" else "-" + first[3:]
         yield from pieces
@@ -136,7 +156,7 @@ class LinComb:
         opening, the terms, the closing."""
         support = self.support()
         yield '{"basis": "%s", "terms": [' % self.basis
-        yield from _formatted('{"coefficient": %d, "index": [', ", ", "]}", ", ",
+        yield from _formatted('{"coefficient": %d, "index": ['.__mod__, ", ", "]}", ", ",
                               support, list(map(self.terms.__getitem__, support)))
         yield "]}"
 
@@ -183,21 +203,30 @@ def _merged(basis: str, pairs) -> LinComb:
     return _built(basis, out)
 
 
-def _formatted(head: str, sep: str, end: str, joiner: str, indices, values):
+def _formatted(head, sep: str, end: str, joiner: str, indices, values):
     """The terms as text, in pieces of at most ``CHUNK_TERMS`` terms: per
-    index, ``head`` with its one placeholder filled from the matching entry
-    of ``values``, then the index's parts joined by ``sep``, then ``end``.
-    The terms of a piece are joined by ``joiner``, which also leads every
-    piece but the first.  One format string per index length, and no
-    Python call per term."""
-    formats = {k: head + sep.join(["%d"] * k) + end for k in set(map(len, indices))}
-    lead = ""
+    index, ``head`` of the matching entry of ``values``, then the index's
+    parts joined by ``sep``, then ``end``.  The terms of a piece are joined
+    by ``joiner``, which also leads every piece but the first.
+
+    ``head`` is called once per distinct value, and its text is folded into
+    the separator in front of the term (``end + joiner + head``).  A part's
+    text is read from ``_PART_TEXT``.  Each piece is one ``"".join`` of
+    separators and bodies, with no Python call per term for parts the
+    table holds."""
+    distinct = set(values)
+    folds = dict(zip(distinct, map((end + joiner).__add__, map(head, distinct))))
+    skip = len(end + joiner)  # the first term of all has no term before it
     for start in range(0, len(indices), CHUNK_TERMS):
-        part = indices[start:start + CHUNK_TERMS]
-        yield lead + joiner.join(map(
-            str.__mod__, map(formats.__getitem__, map(len, part)),
-            map(tuple.__add__, zip(values[start:start + CHUNK_TERMS]), part)))
-        lead = joiner
+        stop = start + CHUNK_TERMS
+        seps = list(map(folds.__getitem__, values[start:stop]))
+        seps[0] = seps[0][skip:]
+        skip = len(end)
+        out = [end] * (2 * len(seps) + 1)
+        out[0:-1:2] = seps
+        out[1::2] = map(sep.join, map(map, repeat(_PART_TEXT.__getitem__),
+                                      indices[start:stop]))
+        yield "".join(out)
 
 
 def linear_sum(basis: str, pairs) -> LinComb:

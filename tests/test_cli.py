@@ -479,6 +479,10 @@ PINNED_OUTPUT = [
     pytest.param("left-pieri --s 2 --beta 3,1,4 --format json",
                  "517132f949a97442f732e4277cfcda39f8204a86e019b991f705d59c79de4f5e",
                  id="left-pieri-2-314-json"),
+    # terms of both signs
+    pytest.param("left-pieri --s 1 --beta 4,18,7 --format json",
+                 "ff20d09109dc234d3fb3461e7421fdf8dadd1db7e22955c5135f7bc99a841413",
+                 id="left-pieri-1-4_18_7-json"),
     pytest.param("product --left S:2 --right S:2,4 --method closed-form --format json",
                  "672def8027ea4c156081b92d50f88907a342e7a8e100cc8f056f3120899e0638",
                  id="product-closed-form-json"),

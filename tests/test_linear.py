@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from immaculate.compositions import compositions_of, partitions_of
 from immaculate.errors import PreconditionError
@@ -134,9 +134,9 @@ lincombs = st.builds(
     LinComb,
     st.sampled_from(["H", "S"]),
     st.dictionaries(
-        st.lists(st.integers(min_value=1, max_value=12), max_size=6).map(tuple),
+        st.lists(st.integers(min_value=1, max_value=10**12), max_size=6).map(tuple),
         coefficients,
-        max_size=12,
+        max_size=40,
     ),
 )
 
@@ -149,6 +149,7 @@ def joined(pieces, marker):
     return "".join(pieces)
 
 
+@settings(derandomize=True, deadline=None)
 @given(lincombs)
 def test_to_json_matches_json_dumps(f):
     assert joined(f.json_chunks(), '"coefficient"') == f.to_json() == json.dumps(reference(f))
@@ -177,6 +178,19 @@ CHUNK_BOUNDARY_CASES = [
     LinComb("h", {(3, 2, 1): 2, (1,): -1, (2,): 0}),
     LinComb("s", {(1,): 1, (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4): -7}),
     *CHUNK_BOUNDARY_CASES,
+    # a run of one coefficient across both piece boundaries, then a run of
+    # another, all of a higher degree, in the third piece
+    pytest.param(LinComb("S", {**{tuple(int(d) + 1 for d in str(k)): 1
+                                  for k in range(2 * CHUNK_TERMS + 1)},
+                               **{(50, j): -3 for j in range(1, 101)}}),
+                 id="runs-across-pieces"),
+    # indices of 0 to 9 parts, parts on both sides of 1024 and one of 10**20
+    pytest.param(LinComb("H", {**{tuple(range(n, 0, -1)): (-1) ** n * (n + 1)
+                                  for n in range(10)},
+                               (1023, 1024, 1025): 1, (2, 10**20): -1}),
+                 id="0-to-9-parts"),
+    # the leading sign of the first piece is fixed on a non-unit coefficient
+    pytest.param(LinComb("S", {(1,): -2, (2,): 1, (1, 1): -1}), id="first-minus-2"),
 ])
 def test_to_json_fixed_cases(f):
     """Both writers, JSON and text, against their term-by-term references."""
@@ -196,6 +210,7 @@ def text_reference(f):
     return ("-" if sign == "-" else "") + first + "".join(f" {s} {t}" for s, t in rest)
 
 
+@settings(derandomize=True, deadline=None)
 @given(lincombs)
 def test_str_matches_term_by_term_reference(f):
     assert joined(f.text_chunks(), "[") == str(f) == text_reference(f)
