@@ -2,7 +2,9 @@
 
 Python integers are arbitrary precision, so exact arithmetic never overflows.
 Indices are compositions (bases ``H`` and ``S``) or partitions (``h`` and ``s``);
-terms iterate in graded lexicographic order so output is deterministic.
+terms iterate in graded lexicographic order so output is deterministic.  A
+combination whose producer built its terms in that order already is marked
+so, and is listed and written without a sort.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ _PART_TEXT = _DecimalText(zip(range(1024), map(str, range(1024))))
 class LinComb:
     """A finite integer linear combination of basis elements."""
 
-    __slots__ = ("basis", "terms")
+    # _ordered: the terms dict is in graded-lex order already (see _built)
+    __slots__ = ("basis", "terms", "_ordered")
 
     def __init__(self, basis: str, terms=None):
         if basis not in BASES:
@@ -59,6 +62,7 @@ class LinComb:
             raise PreconditionError(f"terms must be (index, coefficient) pairs: {e}") from e
         self.basis = basis
         self.terms = {idx: c for idx, c in summed.items() if c}
+        self._ordered = False
 
     @classmethod
     def monomial(cls, basis, index):
@@ -73,14 +77,24 @@ class LinComb:
 
     def items(self):
         """Terms in graded-lex order of the index."""
-        support = self.support()
-        return list(zip(support, map(self.terms.__getitem__, support)))
+        return list(zip(*self._columns()))
 
     def support(self):
-        """Indices in graded-lex order: lexicographic, then stably by degree."""
+        """Indices in graded-lex order: lexicographic, then stably by degree.
+        A combination its producer built in that order (see ``_built``) is
+        listed as its terms stand, with no sort."""
+        if self._ordered:
+            return list(self.terms)
         support = sorted(self.terms)
         support.sort(key=sum)  # in place: one list, not two
         return support
+
+    def _columns(self):
+        """``support()`` and the coefficients in the same order, as two
+        lists; a combination built in order reads both off its dict."""
+        support = self.support()
+        return support, list(self.terms.values() if self._ordered
+                             else map(self.terms.__getitem__, support))
 
     def __add__(self, other):
         _require_basis(other, self.basis)
@@ -95,7 +109,8 @@ class LinComb:
 
     def scaled(self, scalar: int):
         _check_coefficient(scalar)
-        return _built(self.basis, {idx: scalar * c for idx, c in self.terms.items()})
+        return _built(self.basis, {idx: scalar * c for idx, c in self.terms.items()},
+                      self._ordered)
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, int):
@@ -134,9 +149,7 @@ class LinComb:
             return (f"{' + ' if c > 0 else ' - '}"
                     f"{'' if c in (1, -1) else f'{abs(c)}*'}{basis}[")
 
-        support = self.support()
-        pieces = _formatted(head, ",", "]", "", support,
-                            list(map(self.terms.__getitem__, support)))
+        pieces = _formatted(head, ",", "]", "", *self._columns())
         first = next(pieces)
         yield first[3:] if first[1] == "+" else "-" + first[3:]
         yield from pieces
@@ -154,10 +167,9 @@ class LinComb:
     def json_chunks(self):
         """``to_json()`` in pieces of at most ``CHUNK_TERMS`` terms: the
         opening, the terms, the closing."""
-        support = self.support()
         yield '{"basis": "%s", "terms": [' % self.basis
         yield from _formatted('{"coefficient": %d, "index": ['.__mod__, ", ", "]}", ", ",
-                              support, list(map(self.terms.__getitem__, support)))
+                              *self._columns())
         yield "]}"
 
     @classmethod
@@ -183,14 +195,23 @@ def _require_basis(f, basis: str):
         raise PreconditionError(f"expected a LinComb in basis {basis!r}, got {got}")
 
 
-def _built(basis: str, terms: dict) -> LinComb:
+def _built(basis: str, terms: dict, ordered: bool = False) -> LinComb:
     """A combination whose indices the package built itself: no index
     checks, only zero coefficients are dropped.  ``terms`` must be a fresh
-    dict the caller does not keep: without a zero it becomes the terms."""
+    dict the caller does not keep: without a zero it becomes the terms.
+
+    ``ordered`` says that the producer inserted the terms in strictly
+    increasing graded-lex order, so that ``support()`` and the writers read
+    them as they stand.  Dropping zeros keeps the order.  Two producers
+    pass it: ``pieri.right_pieri``, whose successors come out in
+    lexicographic order, all of one degree, and ``triangular_inverse``,
+    which writes its pivots in increasing order; ``scaled`` passes it on.
+    Every other combination is sorted when it is listed."""
     f = LinComb.__new__(LinComb)
     f.basis = basis
     f.terms = terms if 0 not in terms.values() else {
         idx: c for idx, c in terms.items() if c}
+    f._ordered = ordered
     return f
 
 
@@ -255,6 +276,11 @@ def triangular_inverse(f: LinComb, expand, basis: str) -> LinComb:
     Each step scans the surviving terms of its degree and applies one
     expansion; the terms visited so far are counted against
     ENUMERATION_LIMIT.  On homogeneous ``f`` that is every surviving term.
+
+    The result comes out in graded-lex order, and is marked so: each
+    expansion adds only indices above its pivot, in the pivot's own degree,
+    and cancels the pivot itself, so every pivot is larger than the one
+    before it in its degree, and the degrees go lowest first.
     """
     by_degree = {}
     for idx, c in f.terms.items():
@@ -276,4 +302,4 @@ def triangular_inverse(f: LinComb, expand, basis: str) -> LinComb:
                     remaining[idx] = val
                 else:
                     remaining.pop(idx, None)
-    return _built(basis, out)
+    return _built(basis, out, ordered=True)

@@ -30,8 +30,11 @@ from .linear import LinComb, _built
 
 def right_pieri(alpha, s: int) -> LinComb:
     """S_alpha * H_s: multiplicity-free sum over the right cover relation;
-    ``right_pieri_successors`` checks alpha and s."""
-    return _built("S", dict.fromkeys(right_pieri_successors(alpha, s), 1))
+    ``right_pieri_successors`` checks alpha and s.  The successors come in
+    lexicographic order, all of degree |alpha| + s, which is graded-lex
+    order, so the result is marked as built in order and is written
+    without a sort."""
+    return _built("S", dict.fromkeys(right_pieri_successors(alpha, s), 1), ordered=True)
 
 
 def translation_reduce(alpha, beta, gamma, v):

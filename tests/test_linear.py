@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from immaculate.compositions import compositions_of, partitions_of
 from immaculate.errors import PreconditionError
-from immaculate.linear import BASES, CHUNK_TERMS, LinComb, _built
+from immaculate.linear import BASES, CHUNK_TERMS, LinComb, _built, _merged, linear_sum
 from immaculate.nsym import (
     H_to_immaculate,
     forgetful_chi,
@@ -13,6 +13,7 @@ from immaculate.nsym import (
     immaculate_comb_to_H,
     sym_multiply,
 )
+from immaculate.pieri import right_pieri
 from immaculate.schur import h_to_schur
 
 
@@ -229,3 +230,72 @@ def test_scalar_multiplication():
     assert (3 * f).coefficient((2, 1)) == 3
     assert (0 * f) == LinComb.zero("H")
     assert (-f).coefficient((2, 1)) == -1
+
+
+# Combinations their producer marks as built in graded-lex order, against
+# an unmarked copy of the same terms, which the writers sort.
+
+small_compositions = st.lists(st.integers(min_value=1, max_value=4), max_size=4).map(tuple)
+small_partitions = small_compositions.map(lambda c: tuple(sorted(c, reverse=True)))
+
+
+def assert_written_in_order(f):
+    """``f`` is marked, its dict is in graded-lex order, and it lists and
+    writes as the unmarked copy of its terms does."""
+    assert f._ordered
+    assert f.support() == list(f.terms) == sorted(sorted(f.terms), key=sum)
+    copy = LinComb(f.basis, f.terms)
+    assert not copy._ordered
+    assert f.items() == copy.items()
+    assert str(f) == str(copy)
+    assert f.to_json() == copy.to_json()
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_compositions, st.integers(min_value=1, max_value=5))
+def test_right_pieri_is_written_in_order(alpha, s):
+    assert_written_in_order(right_pieri(alpha, s))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.dictionaries(small_compositions, st.integers(-3, 3), max_size=6))
+def test_H_to_immaculate_is_written_in_order(terms):
+    # terms of several degrees at once: the inverse runs one degree at a time
+    assert_written_in_order(H_to_immaculate(LinComb("H", terms)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.dictionaries(small_partitions, st.integers(-3, 3), max_size=6))
+def test_h_to_schur_is_written_in_order(terms):
+    assert_written_in_order(h_to_schur(LinComb("h", terms)))
+
+
+def test_only_ordered_producers_mark():
+    f = right_pieri((1, 2), 3)
+    assert f._ordered
+    unmarked = [
+        (LinComb("S", f.terms), 1),
+        (LinComb.from_json_dict(json.loads(f.to_json())), 1),
+        (linear_sum("S", [(1, f)]), 1),
+        (f + f, 2),
+        (_merged("S", f.terms.items()), 1),
+        (_built("S", dict(f.terms)), 1),
+    ]
+    for g, scalar in unmarked:
+        assert not g._ordered
+        assert g == f.scaled(scalar) and g.support() == f.support()
+
+
+def test_scaled_and_zero_dropping_keep_order_and_marker():
+    f = right_pieri((2, 1), 3)
+    for scalar in (1, -1, 7):
+        g = f.scaled(scalar)
+        assert g._ordered and list(g.terms) == list(f.terms)
+        assert_written_in_order(g)
+    zero = f.scaled(0)
+    assert zero._ordered and zero.support() == [] and str(zero) == "0"
+    assert not LinComb("S", f.terms).scaled(2)._ordered
+    g = _built("S", {(1,): 2, (1, 1): 0, (2,): -1, (1, 1, 1): 0, (1, 2): 5, (3,): 0},
+               ordered=True)
+    assert list(g.terms) == [(1,), (2,), (1, 2)]
+    assert_written_in_order(g)
